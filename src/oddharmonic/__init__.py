@@ -21,18 +21,15 @@ from .certificates import (
 )
 from .exact import (
     PLUS_INFINITY,
-    Rational,
     Valuation,
     as_rational,
     binomial,
     double_factorial,
     padic_valuation,
     pochhammer,
-    rational_arith,
 )
 from .hyper import (
     alternating_binomial_sum,
-    alternating_odd_power_sum_identity,
     binomial_inversion,
     binomial_transform,
     chu_vandermonde,

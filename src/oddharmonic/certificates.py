@@ -14,7 +14,7 @@ forces valuation -weight.  The strict family runs a fixed cascade:
 
 Ties resolve to the earliest rule, so certificates are reproducible.
 Whenever the exact value is cheap enough to recompute, the engine checks
-non-integrality directly no matter which rule fired.
+non-integrality directly for the bound rules (2, 4 and 5) as well.
 
 A caution on rule 3: at depth >= 2 a window prime p divides only
 ceil(r/2) of the odd numbers below 2n (even multiples of p are never odd
@@ -32,12 +32,9 @@ may repeat, the all-equal tuple contributes the unique minimal term
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-from mpmath import iv
 
 from . import primes
 from .exact import padic_valuation
@@ -46,6 +43,7 @@ from .sums import (
     CompositionLike,
     STRICT_ODD,
     STAR_ODD,
+    SumSpec,
     dominates,
     harmonic_sum,
     ones_power_bound,
@@ -181,28 +179,40 @@ def leading_exponent_bound(n: int, tail: CompositionLike) -> int:
     return max(v_ref, v_ref - min(others))
 
 
-_THRESHOLD_PREC = 96
-_threshold_lock = threading.Lock()  # the mpmath interval context is global
+# ceil(e * 10**36) / 10**36: an upper bound on e, good to 36 decimals.
+_E_NUM, _E_DEN = 2718281828459045235360287471352662498, 10**36
 
 
 @lru_cache(maxsize=4096)  # the cascade asks once per case; sweeps repeat (n, r)
 def depth_threshold_holds(n: int, r: int) -> bool:
     """Is r >= e * (log(2n-1)/2 + 1), certainly?
 
-    Evaluated with outward-rounded interval arithmetic; returns True only
-    when the inequality holds against the upper interval endpoint, so an
-    uncertain comparison abstains (False) and the cascade continues.
+    Equivalently exp(2r/e - 2) >= 2n-1.  With e replaced by a rational
+    upper bound the exponent x only shrinks, so every Taylor partial sum
+    of exp(x), a sum of positive terms, is a certain lower bound: True
+    as soon as one reaches 2n-1.  Once the remaining terms cannot reach
+    it the answer is False, which abstains and lets the cascade continue.
+    Only integers are used.
     """
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
-    with _threshold_lock:
-        saved = iv.prec
-        iv.prec = _THRESHOLD_PREC
-        try:
-            threshold = iv.e * (iv.log(2 * n - 1) / 2 + 1)
-            return bool(r >= threshold.b)
-        finally:
-            iv.prec = saved
+    target = 2 * n - 1
+    p, q = 2 * r * _E_DEN - 2 * _E_NUM, _E_NUM  # x = p / q
+    if p <= 0:
+        return False  # exp(x) <= 1 <= 2n-1, and x = 0 cannot occur
+    # The k-th partial sum is total/den and its last term term/den,
+    # with den = q**k * k! and term = p**k.
+    k, total, term, den = 0, 1, 1, 1
+    while total < target * den:
+        # Once x <= (k+1)/2 each later term is at most half the one
+        # before, so all of them together stay below the current term.
+        if 2 * p <= q * (k + 1) and total + term < target * den:
+            return False
+        k += 1
+        den *= q * k
+        term *= p
+        total = total * q * k + term
+    return True
 
 
 def _require_all_positive(comp: Composition) -> None:
@@ -210,28 +220,35 @@ def _require_all_positive(comp: Composition) -> None:
         raise ValueError("integrality certificates cover all-positive compositions")
 
 
+def _bertrand_certificate(spec: SumSpec, n: int, comp: Composition) -> Certificate:
+    """Rule 1: a prime n < p < 2n divides exactly one odd denominator.
+
+    For star sums, and for strict sums of depth 1, the term using it at
+    every position is the unique one of minimal valuation, so the sum
+    has valuation exactly -weight.  The valuation is recomputed on the
+    exact value, not assumed.
+    """
+    p = primes.bertrand_prime(n)
+    v = padic_valuation(harmonic_sum(spec, n, comp), p)
+    if v != -comp.weight:
+        raise RuntimeError(
+            f"valuation law failed: v_{p} of {spec.ordering} sum at n={n}, "
+            f"comp={comp} is {v}, expected {-comp.weight}"
+        )
+    return Certificate(STAR_VALUATION, n, comp, rule_index=1, prime=p, valuation=v)
+
+
 def verify_star_noninteger(n: int, comp: CompositionLike) -> Certificate:
     """Certificate that the odd star sum at n >= 2 is not an integer.
 
-    A prime n < p < 2n divides exactly one odd denominator, and the term
-    using it at every position is the unique one of minimal valuation, so
-    the sum has valuation exactly -weight.  The valuation is recomputed
-    on the exact value, not assumed.
+    A prime n < p < 2n forces valuation exactly -weight (rule 1).
     """
     comp = Composition.coerce(comp)
     _require_all_positive(comp)
     STAR_ODD.validate(n, comp)
     if n == 1:
         return Certificate(TRIVIAL_INTEGER, n, comp, rule_index=0)
-    p = primes.bertrand_prime(n)
-    value = harmonic_sum(STAR_ODD, n, comp)
-    v = padic_valuation(value, p)
-    if v != -comp.weight:
-        raise RuntimeError(
-            f"valuation law failed: v_{p} of star sum at n={n}, comp={comp} "
-            f"is {v}, expected {-comp.weight}"
-        )
-    return Certificate(STAR_VALUATION, n, comp, rule_index=1, prime=p, valuation=v)
+    return _bertrand_certificate(STAR_ODD, n, comp)
 
 
 def valuation_under_window(n: int, r: int, comp: CompositionLike, p: int) -> int:
@@ -289,13 +306,17 @@ def _magnitude_bound(n: int, comp: Composition) -> Fraction | None:
     return bound if bound < 1 else None
 
 
-def verify_odd_noninteger(n: int, comp: CompositionLike,
-                          value_check_limit: int = 20_000) -> Certificate:
+# Rules 2, 4 and 5 bound the sum without its value; it is recomputed as a
+# check whenever n * depth is at most this.
+_VALUE_CHECK_LIMIT = 20_000
+
+
+def verify_odd_noninteger(n: int, comp: CompositionLike) -> Certificate:
     """Certificate that the strict odd sum at n >= 2 is not an integer.
 
     Runs the module-level cascade; the first applicable rule wins.  When
-    n * depth <= value_check_limit the exact value is also recomputed and
-    its denominator checked, regardless of the rule.  Certificates from
+    n * depth <= 20,000 the exact value is also recomputed and its
+    denominator checked, whichever bound rule fired.  Certificates from
     rules 4-6 outside the tabulated regime (n past the window threshold,
     or depth > 17) are flagged best_effort.
     """
@@ -305,18 +326,11 @@ def verify_odd_noninteger(n: int, comp: CompositionLike,
     if n == 1:
         return Certificate(TRIVIAL_INTEGER, n, comp, rule_index=0)
     r = comp.depth
-    wt = comp.weight
+    if r == 1:
+        return _bertrand_certificate(STRICT_ODD, n, comp)
 
     cert: Certificate | None = None
-    if r == 1:
-        p = primes.bertrand_prime(n)
-        value = harmonic_sum(STRICT_ODD, n, comp)
-        v = padic_valuation(value, p)
-        if v != -wt:
-            raise RuntimeError(f"valuation law failed at n={n}, comp={comp}")
-        cert = Certificate(STAR_VALUATION, n, comp, rule_index=1, prime=p, valuation=v)
-
-    if cert is None and depth_threshold_holds(n, r):
+    if depth_threshold_holds(n, r):
         bound = ones_power_bound(n, r)
         if bound < 1:
             cert = Certificate(DEPTH_BOUND, n, comp, rule_index=2, bound=bound)
@@ -324,38 +338,31 @@ def verify_odd_noninteger(n: int, comp: CompositionLike,
     if cert is None:
         p = primes.window_prime(n, r)
         if p is not None:
-            value = harmonic_sum(STRICT_ODD, n, comp)
-            v = padic_valuation(value, p)
+            v = padic_valuation(harmonic_sum(STRICT_ODD, n, comp), p)
             if isinstance(v, int) and v < 0:
-                cert = Certificate(WINDOW_VALUATION, n, comp, rule_index=3,
+                return Certificate(WINDOW_VALUATION, n, comp, rule_index=3,
                                    prime=p, valuation=v)
             # else: rare in principle only; let a later rule certify
 
     if cert is None:
+        best_effort = not (r <= 17 and n < primes.window_threshold(r))
         bound = _magnitude_bound(n, comp)
         if bound is not None:
-            best_effort = not (2 <= r <= 17 and n < primes.window_threshold(r))
             cert = Certificate(MAGNITUDE_BOUND, n, comp, rule_index=4,
                                bound=bound, best_effort=best_effort)
-
-    if cert is None and 2 <= r < n:
-        bound = leading_exponent_bound(n, comp.indices[1:])
-        if comp.indices[0] > bound:
-            p = primes.largest_prime_in(n - r + 1, 2 * n - 2 * r + 2)
-            best_effort = not (r <= 17 and n < primes.window_threshold(r))
-            cert = Certificate(LARGE_S1_BOUND, n, comp, rule_index=5,
-                               prime=p, bound=Fraction(bound),
+        elif r < n:
+            s1_bound = leading_exponent_bound(n, comp.indices[1:])
+            if comp.indices[0] > s1_bound:
+                p = primes.largest_prime_in(n - r + 1, 2 * n - 2 * r + 2)
+                cert = Certificate(LARGE_S1_BOUND, n, comp, rule_index=5,
+                                   prime=p, bound=Fraction(s1_bound),
+                                   best_effort=best_effort)
+        if cert is None:
+            cert = Certificate(DIRECT_NON_INTEGER, n, comp, rule_index=6,
                                best_effort=best_effort)
 
-    if cert is None:
-        value = harmonic_sum(STRICT_ODD, n, comp)
-        if value.denominator == 1:
-            raise RuntimeError(f"integer value {value} at n={n}, comp={comp}")
-        best_effort = not (2 <= r <= 17 and n < primes.window_threshold(r))
-        cert = Certificate(DIRECT_NON_INTEGER, n, comp, rule_index=6,
-                           best_effort=best_effort)
-
-    if cert.rule_index in (2, 4, 5) and n * r <= value_check_limit:
+    # Rule 6 is this check; for rules 2, 4 and 5 it is a cross-check.
+    if cert.kind == DIRECT_NON_INTEGER or n * r <= _VALUE_CHECK_LIMIT:
         value = harmonic_sum(STRICT_ODD, n, comp)
         if value.denominator == 1:
             raise RuntimeError(f"integer value {value} at n={n}, comp={comp} "

@@ -134,19 +134,13 @@ def _parse_x_list(text: str) -> list[Fraction]:
 
 def _identity_rows(suite, n_max, s_max, m_max, xs, seed, count):
     """Yield (suite, n, s, m, x, sign, lhs, rhs) rows for one suite."""
-    if suite == "powersum":
+    if suite in ("powersum", "alt-powersum"):
         n_max, s_max = n_max or 20, s_max or 4
+        sign = -1 if suite == "alt-powersum" else 1
         for n in range(1, n_max + 1):
             for s in range(1, s_max + 1):
                 for x in xs:
-                    lhs, rhs = hyper.odd_power_sum_identity(n, s, x)
-                    yield (suite, n, s, "", x, "", lhs, rhs)
-    elif suite == "alt-powersum":
-        n_max, s_max = n_max or 20, s_max or 4
-        for n in range(1, n_max + 1):
-            for s in range(1, s_max + 1):
-                for x in xs:
-                    lhs, rhs = hyper.alternating_odd_power_sum_identity(n, s, x)
+                    lhs, rhs = hyper.odd_power_sum_identity(n, s, x, sign)
                     yield (suite, n, s, "", x, "", lhs, rhs)
     elif suite == "depth1":
         n_max, s_max = n_max or 30, s_max or 5
@@ -291,6 +285,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # Exact values and bounds can run past the interpreter's default limit
+    # on int-to-decimal conversion; lift it for this call only.
+    saved_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except ValueError as exc:
@@ -299,6 +297,8 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
+    finally:
+        sys.set_int_max_str_digits(saved_limit)
 
 
 if __name__ == "__main__":

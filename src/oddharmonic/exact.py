@@ -3,7 +3,8 @@
 Values are plain `fractions.Fraction` instances: arbitrary precision,
 always reduced, denominator positive, zero canonically 0/1.  The string
 form is the canonical serialization ("num/den", or "num" for integers)
-and `Fraction(text)` parses it back.  No floating point enters here.
+and `Fraction(text)` parses it back.  No floating point enters a value;
+the one float is `math.inf`, the valuation of zero.
 """
 
 from __future__ import annotations
@@ -14,45 +15,9 @@ from typing import Union
 
 from . import primes
 
-Rational = Fraction
+PLUS_INFINITY = math.inf  # orders above every int
 
-_OPS = ("add", "sub", "mul", "div")
-
-
-class PlusInfinityType:
-    """Valuation of zero.  A singleton comparing above every integer."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "PlusInfinity"
-
-    def __gt__(self, other) -> bool:
-        return other is not self
-
-    def __ge__(self, other) -> bool:
-        return True
-
-    def __lt__(self, other) -> bool:
-        return False
-
-    def __le__(self, other) -> bool:
-        return other is self
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-
-PLUS_INFINITY = PlusInfinityType()
-
-Valuation = Union[int, PlusInfinityType]
+Valuation = Union[int, float]
 
 
 def as_rational(value) -> Fraction:
@@ -63,24 +28,6 @@ def as_rational(value) -> Fraction:
         return Fraction(value)
     except (ValueError, TypeError) as exc:
         raise ValueError(f"not a rational: {value!r}") from exc
-
-
-def rational_arith(a, b, op: str) -> Fraction:
-    """Exact field operation; op is one of add, sub, mul, div.
-
-    Division by zero raises ZeroDivisionError.  Results are reduced (a
-    Fraction invariant), so no explicit normalization step is needed.
-    """
-    a, b = as_rational(a), as_rational(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}, expected one of {_OPS}")
 
 
 def _int_valuation(m: int, p: int) -> int:

@@ -67,32 +67,21 @@ def alternating_binomial_sum(n: int, f: Callable[[int], Fraction]) -> Fraction:
     return total
 
 
-def odd_power_sum_identity(n: int, s: int, x) -> tuple[Fraction, Fraction]:
-    """Both sides of: sum x^(2k)/(2k+1)^s over k < n equals the binomial
-    combination of terminating series with halves parameters at x^2."""
+def odd_power_sum_identity(n: int, s: int, x, sign: int = 1) -> tuple[Fraction, Fraction]:
+    """Both sides of: sum (sign x^2)^k/(2k+1)^s over k < n equals the
+    binomial combination of terminating series with halves parameters at
+    sign x^2 (the alternating variant when sign = -1)."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
     x = as_rational(x)
-    x2 = x * x
+    y = sign * x * x
     lhs = Fraction(0)
     power = Fraction(1)
     for k in range(n):
         lhs += power / (2 * k + 1) ** s
-        power *= x2
+        power *= y
     rhs = alternating_binomial_sum(
-        n, lambda k: pfq((HALF,) * s + (1 - k,), (THREE_HALVES,) * s, x2))
-    return lhs, rhs
-
-
-def alternating_odd_power_sum_identity(n: int, s: int, x) -> tuple[Fraction, Fraction]:
-    """Alternating variant: lhs carries (-1)^k and the argument is -x^2."""
-    x = as_rational(x)
-    x2 = x * x
-    lhs = Fraction(0)
-    power = Fraction(1)
-    for k in range(n):
-        lhs += power / (2 * k + 1) ** s
-        power *= -x2
-    rhs = alternating_binomial_sum(
-        n, lambda k: pfq((HALF,) * s + (1 - k,), (THREE_HALVES,) * s, -x2))
+        n, lambda k: pfq((HALF,) * s + (1 - k,), (THREE_HALVES,) * s, y))
     return lhs, rhs
 
 

@@ -242,7 +242,7 @@ def test_criterion_7_identity_suites(capsys):
                 lhs, rhs = hyper.odd_power_sum_identity(n, s, x)
                 if lhs != rhs:
                     bad.append(("powersum", n, s, x))
-                lhs, rhs = hyper.alternating_odd_power_sum_identity(n, s, x)
+                lhs, rhs = hyper.odd_power_sum_identity(n, s, x, -1)
                 if lhs != rhs:
                     bad.append(("alt-powersum", n, s, x))
     for n in range(1, 31):

@@ -1,7 +1,11 @@
 """Certificate engine: rule routing, soundness, and the bound tables."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +128,34 @@ def test_depth_threshold():
     assert depth_threshold_holds(100, 15)
     with pytest.raises(ValueError):
         depth_threshold_holds(2, 5)
+
+
+# n_r for each depth r: the largest n at which the depth rule holds, as the
+# earlier interval-arithmetic (mpmath, 96-bit) version of the rule decided it.
+_DEPTH_CROSSOVERS = {
+    6: 6, 7: 12, 8: 24, 9: 51, 10: 106, 11: 221, 12: 462, 13: 965, 14: 2013,
+    15: 4202, 16: 8769, 17: 18302, 18: 38197, 19: 79720, 20: 166380,
+    21: 347246, 22: 724725, 23: 1512549, 24: 3156789, 25: 6588425,
+    26: 13750473, 27: 28698133, 28: 59894876, 29: 125004514, 30: 260892575,
+}
+
+
+def test_depth_threshold_crossovers():
+    for r, n_r in _DEPTH_CROSSOVERS.items():
+        assert depth_threshold_holds(n_r, r), r
+        assert not depth_threshold_holds(n_r + 1, r), r
+    # the threshold grows with n, so failing at n = r means failing for all n
+    for r in range(1, 6):
+        assert not depth_threshold_holds(r, r), r
+
+
+def test_import_leaves_mpmath_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, oddharmonic, oddharmonic.cli; print('mpmath' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # -- tail coefficients and the leading-exponent bound ---------------------------

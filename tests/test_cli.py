@@ -1,9 +1,12 @@
 """CLI surface: commands, formats, exit codes, output round-trips."""
 
 import json
+import sys
 from fractions import Fraction
 
+from oddharmonic.certificates import verify_odd_noninteger
 from oddharmonic.cli import main
+from oddharmonic.sums import STRICT_ODD, harmonic_sum
 
 
 def run(capsys, *argv):
@@ -43,6 +46,28 @@ def test_eval_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "eval", "--n", "4", "--standard", "--comp", "1,-2")
     assert code == 2
+
+
+def test_values_past_the_int_digit_limit(capsys):
+    # Both outputs run past the interpreter's default 4300-digit limit on
+    # int-to-decimal conversion; the CLI lifts it for the call only.
+    limit = sys.get_int_max_str_digits()
+    ones = (1,) * 12
+    code, value_out, _ = run(capsys, "eval", "--n", "1000", "--comp", "6")
+    assert code == 0
+    code, cert_out, _ = run(capsys, "verify", "--n", "400",
+                            "--comp", ",".join(map(str, ones)))
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    doc = json.loads(cert_out)
+    assert doc["kind"] == "DepthBound"
+    assert len(doc["bound"]) > 4300
+    sys.set_int_max_str_digits(0)  # to parse the outputs back
+    try:
+        assert Fraction(value_out.strip()) == harmonic_sum(STRICT_ODD, 1000, (6,))
+        assert Fraction(doc["bound"]) == verify_odd_noninteger(400, ones).bound
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_verify_trivial_exception(capsys):

@@ -1,0 +1,23 @@
+"""Every demo script runs to completion against the package as it stands."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_are_found():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo):
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -10,7 +10,6 @@ from oddharmonic.hyper import (
     DegenerateLowerParameter,
     NonTerminatingSeries,
     alternating_binomial_sum,
-    alternating_odd_power_sum_identity,
     binomial_inversion,
     binomial_transform,
     chu_vandermonde,
@@ -80,12 +79,14 @@ def test_power_sum_identity_examples():
 
 
 def test_alternating_power_sum_identity_examples():
-    lhs, rhs = alternating_odd_power_sum_identity(1, 1, 1)
+    lhs, rhs = odd_power_sum_identity(1, 1, 1, -1)
     assert lhs == rhs == 1
-    lhs, rhs = alternating_odd_power_sum_identity(2, 1, 1)
+    lhs, rhs = odd_power_sum_identity(2, 1, 1, -1)
     assert lhs == rhs == F(2, 3)
-    lhs, rhs = alternating_odd_power_sum_identity(4, 2, F(1, 2))
+    lhs, rhs = odd_power_sum_identity(4, 2, F(1, 2), -1)
     assert lhs == rhs
+    with pytest.raises(ValueError):
+        odd_power_sum_identity(2, 1, 1, 0)
 
 
 def test_power_sum_identities_small_grid():
@@ -95,7 +96,7 @@ def test_power_sum_identities_small_grid():
             for x in xs:
                 lhs, rhs = odd_power_sum_identity(n, s, x)
                 assert lhs == rhs, (n, s, x)
-                lhs, rhs = alternating_odd_power_sum_identity(n, s, x)
+                lhs, rhs = odd_power_sum_identity(n, s, x, -1)
                 assert lhs == rhs, (n, s, x)
 
 
