@@ -14,9 +14,9 @@ from oddharmonic import (
     consecutive_product_sum,
     consecutive_product_sum_via_hyper,
     euler_binomial_harmonic,
+    harmonic_via_hyper,
     odd_harmonic,
     odd_harmonic_closed_form,
-    odd_harmonic_via_hyper,
     odd_power_sum_identity,
     pfq,
     standard_harmonic,
@@ -36,7 +36,7 @@ print("\nDepth-one odd sums via hypergeometric values at +-1:")
 for n in (3, 10):
     for s in (1, 2):
         direct = odd_harmonic(n, (s,))
-        via = odd_harmonic_via_hyper(n, s, 1)
+        via = harmonic_via_hyper(n, s, parity="odd")
         print(f"  n={n:>2} s={s}: {via} == {direct}: {via == direct}")
 
 print("\nDouble-factorial closed form of the odd harmonic number:")

@@ -38,7 +38,6 @@ from .hyper import (
     euler_binomial_harmonic,
     harmonic_via_hyper,
     odd_harmonic_closed_form,
-    odd_harmonic_via_hyper,
     odd_power_sum_identity,
     pfq,
 )

@@ -330,6 +330,7 @@ def verify_odd_noninteger(n: int, comp: CompositionLike) -> Certificate:
         return _bertrand_certificate(STRICT_ODD, n, comp)
 
     cert: Certificate | None = None
+    value: Fraction | None = None  # evaluated at most once, for rules 3 and 6
     if depth_threshold_holds(n, r):
         bound = ones_power_bound(n, r)
         if bound < 1:
@@ -338,7 +339,8 @@ def verify_odd_noninteger(n: int, comp: CompositionLike) -> Certificate:
     if cert is None:
         p = primes.window_prime(n, r)
         if p is not None:
-            v = padic_valuation(harmonic_sum(STRICT_ODD, n, comp), p)
+            value = harmonic_sum(STRICT_ODD, n, comp)
+            v = padic_valuation(value, p)
             if isinstance(v, int) and v < 0:
                 return Certificate(WINDOW_VALUATION, n, comp, rule_index=3,
                                    prime=p, valuation=v)
@@ -363,7 +365,8 @@ def verify_odd_noninteger(n: int, comp: CompositionLike) -> Certificate:
 
     # Rule 6 is this check; for rules 2, 4 and 5 it is a cross-check.
     if cert.kind == DIRECT_NON_INTEGER or n * r <= _VALUE_CHECK_LIMIT:
-        value = harmonic_sum(STRICT_ODD, n, comp)
+        if value is None:
+            value = harmonic_sum(STRICT_ODD, n, comp)
         if value.denominator == 1:
             raise RuntimeError(f"integer value {value} at n={n}, comp={comp} "
                                f"contradicts {cert.kind} certificate")

@@ -19,7 +19,14 @@ from .certificates import (
     verify_odd_noninteger,
     verify_star_noninteger,
 )
-from .sums import Composition, SumSpec, compositions, harmonic_sum
+from .sums import (
+    STRICT_ODD,
+    STRICT_STANDARD,
+    Composition,
+    SumSpec,
+    compositions,
+    harmonic_sum,
+)
 
 _X_DEFAULT = "1,1/2,1/3,2/5"
 
@@ -148,19 +155,18 @@ def _identity_rows(suite, n_max, s_max, m_max, xs, seed, count):
             for s in range(1, s_max + 1):
                 for sign in (1, -1):
                     yield (suite, n, s, "", "", sign,
-                           hyper.odd_harmonic_via_hyper(n, s, sign),
-                           hyper.odd_harmonic_direct(n, s, sign))
+                           hyper.harmonic_via_hyper(n, s, sign, parity="odd"),
+                           harmonic_sum(STRICT_ODD, n, (sign * s,)))
                     yield ("depth1-standard", n, s, "", "", sign,
-                           hyper.harmonic_via_hyper(n, s, sign),
-                           harmonic_sum(SumSpec("strict", "standard"), n,
-                                        (s if sign == 1 else -s,)))
+                           hyper.harmonic_via_hyper(n, s, sign, parity="standard"),
+                           harmonic_sum(STRICT_STANDARD, n, (sign * s,)))
         for n in range(1, 51):
             yield ("closed-form", n, 1, "", "", "",
                    hyper.odd_harmonic_closed_form(n),
-                   hyper.odd_harmonic_direct(n, 1))
+                   harmonic_sum(STRICT_ODD, n, (1,)))
             yield ("euler", n, 1, "", "", "",
                    hyper.euler_binomial_harmonic(n),
-                   harmonic_sum(SumSpec("strict", "standard"), n, (1,)))
+                   harmonic_sum(STRICT_STANDARD, n, (1,)))
     elif suite == "chu":
         n_max, count = n_max or 10, count or 50
         rng = random.Random(seed)
@@ -183,7 +189,7 @@ def _identity_rows(suite, n_max, s_max, m_max, xs, seed, count):
         for n in range(1, n_max + 1):
             yield ("blocks-depth1", n, "", 1, "", "",
                    hyper.consecutive_product_sum(1, n),
-                   hyper.odd_harmonic_direct(n, 1))
+                   harmonic_sum(STRICT_ODD, n, (1,)))
     elif suite == "inversion":
         n_max, s_max, m_max = n_max or 15, min(s_max or 3, 3), m_max or 5
         half, threehalf = Fraction(1, 2), Fraction(3, 2)
@@ -192,7 +198,7 @@ def _identity_rows(suite, n_max, s_max, m_max, xs, seed, count):
                 for n in range(1, n_max + 1):
                     lhs = hyper.pfq((half,) * s + (1 - n,), (threehalf,) * s, sign)
                     rhs = hyper.alternating_binomial_sum(
-                        n, lambda k: hyper.odd_harmonic_direct(k, s, sign))
+                        n, lambda k: harmonic_sum(STRICT_ODD, k, (sign * s,)))
                     yield (suite, n, s, "", "", sign, lhs, rhs)
         for m in range(1, m_max + 1):
             for n in range(1, n_max + 1):

@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .exact import as_rational, binomial, double_factorial, pochhammer
-from .sums import STRICT_ODD, harmonic_sum
 
 
 class NonTerminatingSeries(ValueError):
@@ -26,6 +25,7 @@ class DegenerateLowerParameter(ValueError):
 
 HALF = Fraction(1, 2)
 THREE_HALVES = Fraction(3, 2)
+_HYPER_BASE = {"odd": HALF, "standard": Fraction(1)}
 
 
 def pfq(upper: Sequence, lower: Sequence, x) -> Fraction:
@@ -85,13 +85,20 @@ def odd_power_sum_identity(n: int, s: int, x, sign: int = 1) -> tuple[Fraction, 
     return lhs, rhs
 
 
-def odd_harmonic_via_hyper(n: int, s: int, sign: int = 1) -> Fraction:
-    """Depth-one odd sum (alternating when sign = -1) as a binomial
-    combination of terminating series evaluated at +-1."""
+def harmonic_via_hyper(n: int, s: int, sign: int = 1, *, parity: str) -> Fraction:
+    """Depth-one sum of the given parity (alternating when sign = -1) as a
+    binomial combination of terminating series evaluated at +-1.
+
+    With a = 1/2 for odd and a = 1 for standard parity, each ratio
+    (a)_i / (a+1)_i = a / (a+i) is the reciprocal of the i-th denominator.
+    """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    if parity not in _HYPER_BASE:
+        raise ValueError(f"parity must be odd or standard, got {parity!r}")
+    a = _HYPER_BASE[parity]
     return alternating_binomial_sum(
-        n, lambda k: pfq((HALF,) * s + (1 - k,), (THREE_HALVES,) * s, sign))
+        n, lambda k: pfq((a,) * s + (1 - k,), (a + 1,) * s, sign))
 
 
 def odd_harmonic_closed_form(n: int) -> Fraction:
@@ -142,15 +149,6 @@ def consecutive_product_sum_via_hyper(m: int, n: int) -> Fraction:
         n, lambda k: pfq((1, 1 - k), (m + k,), -1) / (fact * (m + k - 1)))
 
 
-def harmonic_via_hyper(n: int, s: int, sign: int = 1) -> Fraction:
-    """Depth-one standard sum (alternating when sign = -1) as a binomial
-    combination of terminating series with integer parameters."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return alternating_binomial_sum(
-        n, lambda k: pfq((Fraction(1),) * s + (1 - k,), (Fraction(2),) * s, sign))
-
-
 def euler_binomial_harmonic(n: int) -> Fraction:
     """sum (-1)^(k-1) C(n,k) / k, which equals the harmonic number."""
     return alternating_binomial_sum(n, lambda k: Fraction(1, k))
@@ -181,10 +179,3 @@ def binomial_transform(values: Sequence) -> list[Fraction]:
         raise ValueError("need a nonempty sequence")
     return [sum((binomial(m, k) * g[k - 1] for k in range(1, m + 1)), Fraction(0))
             for m in range(1, len(g) + 1)]
-
-
-def odd_harmonic_direct(n: int, s: int, sign: int = 1) -> Fraction:
-    """Depth-one odd sum evaluated directly, for cross-checking."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return harmonic_sum(STRICT_ODD, n, (s if sign == 1 else -s,))

@@ -6,11 +6,12 @@ denominators 2k+1, positions k = 0..n-1), and a composition of exponents.
 Composition entries are nonzero integers; a negative entry -s stands for
 the alternating exponent: its factor is (-1)**k / base(k)**s.
 
-Evaluation runs a dynamic program over the last summation index, one row
-of prefix partial sums per exponent, O(n*r) reduced-rational operations.
-Rows are cached by (spec, n, exponent prefix) so sweeps that walk many
-compositions at the same n share almost all the work.  The brute-force
-enumerator is kept as an independent oracle.
+Evaluation is one integer fold over the summation index k = 0..n-1: a
+vector of r+1 numerators over one common denominator holds the prefix
+sums of every depth, and each step multiplies it through by a power of
+base(k), so no step needs a gcd.  The sum is reduced once, at the end.
+Nothing is cached.  The brute-force enumerator is kept as an independent
+oracle.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import gcd
 from typing import Iterable, Iterator, Union
 
 
@@ -135,62 +134,44 @@ STRICT_ODD = SumSpec("strict", "odd")
 STAR_ODD = SumSpec("star", "odd")
 
 
-def _pair_add(na: int, da: int, nb: int, db: int) -> tuple[int, int]:
-    # reduced na/da + nb/db, denominators positive
-    g = gcd(da, db)
-    if g == 1:
-        return na * db + nb * da, da * db
-    s = da // g
-    t = na * (db // g) + nb * s
-    g2 = gcd(t, g)
-    if g2 == 1:
-        return t, s * db
-    return t // g2, s * (db // g2)
-
-
-@lru_cache(maxsize=512)
-def _dp_row(star: bool, odd: bool, n: int, prefix: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """Partial sums over the first len(prefix) exponents.
-
-    Entry m+1 holds the sum over admissible tuples with last index <= m,
-    as a reduced (num, den) pair; entry 0 is the empty-range value.
-    """
-    if not prefix:
-        return ((1, 1),) * (n + 1)
-    prev = _dp_row(star, odd, n, prefix[:-1])
-    entry = prefix[-1]
-    s = abs(entry)
-    alternating = entry < 0
-    shift = 1 if star else 0
-    row = [(0, 1)] * (n + 1)
-    num, den = 0, 1
-    for k in range(n):
-        pn, pd = prev[k + shift]
-        if pn:
-            base = 2 * k + 1 if odd else k + 1
-            d = base ** s
-            g = gcd(pn, d)
-            tn = pn // g
-            if alternating and (k & 1):
-                tn = -tn
-            num, den = _pair_add(num, den, tn, pd * (d // g))
-        row[k + 1] = (num, den)
-    return tuple(row)
-
-
 def harmonic_sum(spec: SumSpec, n: int, comp: CompositionLike) -> Fraction:
-    """Exact value of the specified nested sum."""
+    """Exact value of the specified nested sum.
+
+    After index k, v[j] / v[0] is the sum over the first j exponents
+    with every index <= k; the numerators stay integers because each
+    step multiplies the whole vector by base(k)**scale.
+    """
     comp = Composition.coerce(comp)
     spec.validate(n, comp)
-    row = _dp_row(spec.star, spec.odd, int(n), comp.indices)
-    return Fraction(*row[n])
+    r = comp.depth
+    mags = comp.magnitudes()
+    signed = [e < 0 for e in comp.indices]
+    scale = comp.weight if spec.star else max(mags)
+    v = [1] + [0] * r
+    for k in range(int(n)):
+        base = 2 * k + 1 if spec.odd else k + 1
+        step = base ** scale
+        flip = k & 1
+        if spec.star:  # ascending: v[j-1] already includes index k
+            v[0] *= step
+            for j in range(1, r + 1):
+                # exact: v[j-1] is now a multiple of base ** (scale minus
+                # the first j-1 magnitudes), and scale is the weight
+                term = v[j - 1] // base ** mags[j - 1]
+                v[j] = v[j] * step + (-term if flip and signed[j - 1] else term)
+        else:  # descending: v[j-1] still stops before index k
+            for j in range(r, 0, -1):
+                term = v[j - 1] * base ** (scale - mags[j - 1])
+                v[j] = v[j] * step + (-term if flip and signed[j - 1] else term)
+            v[0] *= step
+    return Fraction(v[r], v[0])
 
 
 def harmonic_sum_brute(spec: SumSpec, n: int, comp: CompositionLike,
                        work_limit: int = 2_000_000) -> Fraction:
     """Reference oracle: direct enumeration of all index tuples.
 
-    Independent of the dynamic program on purpose.  Raises
+    Independent of the integer fold on purpose.  Raises
     WorkLimitExceeded when the tuple count would exceed work_limit.
     """
     comp = Composition.coerce(comp)

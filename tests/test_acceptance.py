@@ -248,10 +248,11 @@ def test_criterion_7_identity_suites(capsys):
     for n in range(1, 31):
         for s in range(1, 6):
             for sign in (1, -1):
-                if hyper.odd_harmonic_via_hyper(n, s, sign) != hyper.odd_harmonic_direct(n, s, sign):
+                if (hyper.harmonic_via_hyper(n, s, sign, parity="odd")
+                        != odd_harmonic(n, (sign * s,))):
                     bad.append(("depth1", n, s, sign))
     for n in range(1, 51):
-        if hyper.odd_harmonic_closed_form(n) != hyper.odd_harmonic_direct(n, 1):
+        if hyper.odd_harmonic_closed_form(n) != odd_harmonic(n, (1,)):
             bad.append(("closed-form", n))
         if hyper.euler_binomial_harmonic(n) != standard_harmonic(n, (1,)):
             bad.append(("euler", n))
@@ -276,7 +277,7 @@ def test_criterion_7_identity_suites(capsys):
             for n in range(1, 16):
                 lhs = hyper.pfq((half,) * s + (1 - n,), (threehalf,) * s, sign)
                 rhs = hyper.alternating_binomial_sum(
-                    n, lambda k: hyper.odd_harmonic_direct(k, s, sign))
+                    n, lambda k: odd_harmonic(k, (sign * s,)))
                 if lhs != rhs:
                     bad.append(("inversion", s, sign, n))
     import math

@@ -18,12 +18,10 @@ from oddharmonic.hyper import (
     euler_binomial_harmonic,
     harmonic_via_hyper,
     odd_harmonic_closed_form,
-    odd_harmonic_direct,
-    odd_harmonic_via_hyper,
     odd_power_sum_identity,
     pfq,
 )
-from oddharmonic.sums import STRICT_STANDARD, harmonic_sum
+from oddharmonic.sums import STRICT_ODD, STRICT_STANDARD, harmonic_sum
 
 F = Fraction
 HALF, THREEHALF = F(1, 2), F(3, 2)
@@ -103,18 +101,23 @@ def test_power_sum_identities_small_grid():
 # -- depth-one evaluations ---------------------------------------------------------
 
 def test_depth1_via_hyper_examples():
-    assert odd_harmonic_via_hyper(1, 4, 1) == 1
-    assert odd_harmonic_via_hyper(2, 1, 1) == F(4, 3)
-    assert odd_harmonic_via_hyper(2, 1, -1) == F(2, 3)
+    assert harmonic_via_hyper(1, 4, 1, parity="odd") == 1
+    assert harmonic_via_hyper(2, 1, 1, parity="odd") == F(4, 3)
+    assert harmonic_via_hyper(2, 1, -1, parity="odd") == F(2, 3)
     with pytest.raises(ValueError):
-        odd_harmonic_via_hyper(2, 1, 0)
+        harmonic_via_hyper(2, 1, 0, parity="odd")
+    with pytest.raises(ValueError):
+        harmonic_via_hyper(2, 1, 1, parity="even")
+    with pytest.raises(TypeError):
+        harmonic_via_hyper(2, 1, 1)  # the parity must be named
 
 
 def test_depth1_via_hyper_matches_direct():
     for n in range(1, 13):
         for s in range(1, 4):
             for sign in (1, -1):
-                assert odd_harmonic_via_hyper(n, s, sign) == odd_harmonic_direct(n, s, sign)
+                assert (harmonic_via_hyper(n, s, sign, parity="odd")
+                        == harmonic_sum(STRICT_ODD, n, (sign * s,)))
 
 
 def test_closed_form():
@@ -122,17 +125,18 @@ def test_closed_form():
     assert odd_harmonic_closed_form(2) == F(4, 3)
     assert odd_harmonic_closed_form(3) == F(23, 15)
     for n in range(1, 21):
-        assert odd_harmonic_closed_form(n) == odd_harmonic_direct(n, 1)
+        assert odd_harmonic_closed_form(n) == harmonic_sum(STRICT_ODD, n, (1,))
 
 
 def test_standard_depth1_via_hyper():
-    assert harmonic_via_hyper(1, 2, 1) == 1
-    assert harmonic_via_hyper(2, 1, 1) == F(3, 2)
-    assert harmonic_via_hyper(2, 1, -1) == F(1, 2)
+    assert harmonic_via_hyper(1, 2, 1, parity="standard") == 1
+    assert harmonic_via_hyper(2, 1, 1, parity="standard") == F(3, 2)
+    assert harmonic_via_hyper(2, 1, -1, parity="standard") == F(1, 2)
     for n in range(1, 11):
         for s in range(1, 4):
-            assert harmonic_via_hyper(n, s, 1) == harmonic_sum(STRICT_STANDARD, n, (s,))
-            assert harmonic_via_hyper(n, s, -1) == harmonic_sum(STRICT_STANDARD, n, (-s,))
+            for sign in (1, -1):
+                assert (harmonic_via_hyper(n, s, sign, parity="standard")
+                        == harmonic_sum(STRICT_STANDARD, n, (sign * s,)))
 
 
 def test_euler_binomial_form():
@@ -180,7 +184,7 @@ def test_block_sums_agree():
         for n in range(1, 11):
             assert consecutive_product_sum(m, n) == consecutive_product_sum_via_hyper(m, n)
     for n in range(1, 11):
-        assert consecutive_product_sum(1, n) == odd_harmonic_direct(n, 1)
+        assert consecutive_product_sum(1, n) == harmonic_sum(STRICT_ODD, n, (1,))
 
 
 # -- binomial inversion ----------------------------------------------------------------
@@ -210,7 +214,7 @@ def test_inversion_corollaries():
             for n in range(1, 9):
                 lhs = pfq((HALF,) * s + (1 - n,), (THREEHALF,) * s, sign)
                 rhs = alternating_binomial_sum(
-                    n, lambda k: odd_harmonic_direct(k, s, sign))
+                    n, lambda k: harmonic_sum(STRICT_ODD, k, (sign * s,)))
                 assert lhs == rhs, (s, sign, n)
     import math
     for m in range(1, 5):
@@ -224,7 +228,7 @@ def test_inversion_corollaries():
 
 def test_inversion_corollary_matches_example():
     # g(m) = (-1)^(m-1) * pfq(...) when f(k) is the depth-one odd sum
-    f = [odd_harmonic_direct(k, 1) for k in range(1, 5)]
+    f = [harmonic_sum(STRICT_ODD, k, (1,)) for k in range(1, 5)]
     g = binomial_inversion(f)
     for m in range(1, 5):
         expected = (-1) ** (m - 1) * pfq((HALF, 1 - m), (THREEHALF,), 1)

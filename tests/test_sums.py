@@ -1,5 +1,8 @@
 """Evaluation oracle tests and order/bound properties of the sum families."""
 
+import gc
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -112,6 +115,77 @@ def test_values_match_oracle_spot():
 def test_work_limit():
     with pytest.raises(WorkLimitExceeded):
         harmonic_sum_brute(STRICT_ODD, 60, (1,) * 10, work_limit=1000)
+
+
+# -- exactness past the enumeration oracle's reach -----------------------------
+
+def _prefix_reference(spec, n, comp):
+    """The sum by a prefix recursion in plain Fractions: row[m] sums the
+    entries so far over tuples with every index below m."""
+    row = [F(1)] * (n + 1)
+    for e in comp:
+        new, acc = [F(0)] * (n + 1), F(0)
+        for k in range(n):
+            base = 2 * k + 1 if spec.odd else k + 1
+            sign = -1 if e < 0 and k & 1 else 1
+            acc += row[k + 1 if spec.star else k] * F(sign, base ** abs(e))
+            new[k + 1] = acc
+        row = new
+    return row[n]
+
+
+def test_matches_prefix_reference_up_to_n_300():
+    rng = random.Random(20261018)
+    for spec in ALL_SPECS:
+        for n in (1, 2, 7, 40, 133, 300):
+            r = rng.randint(1, min(n, 4))
+            comp = [rng.randint(1, 3) for _ in range(r)]
+            if spec.odd or r == 1:
+                comp[rng.randrange(r)] *= -1
+            comp = tuple(comp)
+            assert harmonic_sum(spec, n, comp) == _prefix_reference(spec, n, comp), (
+                spec, n, comp)
+
+
+P61 = 2**61 - 1  # prime; every odd denominator below 4000 is a unit mod it
+
+
+def _sum_mod_p61(spec, n, comp):
+    """The same prefix recursion for odd parity, in integers modulo P61."""
+    row = [1] * (n + 1)
+    for e in comp:
+        new, acc = [0] * (n + 1), 0
+        for k in range(n):
+            term = pow((2 * k + 1) ** abs(e), -1, P61)
+            if e < 0 and k & 1:
+                term = -term
+            acc = (acc + row[k + 1 if spec.star else k] * term) % P61
+            new[k + 1] = acc
+        row = new
+    return row[n]
+
+
+@pytest.mark.parametrize("spec, comp", [(STRICT_ODD, (1, -2, 1)), (STAR_ODD, (2, -1))])
+def test_n_2000_modulo_a_61_bit_prime(spec, comp):
+    value = harmonic_sum(spec, 2000, comp)
+    residue = value.numerator * pow(value.denominator, -1, P61) % P61
+    assert residue == _sum_mod_p61(spec, 2000, comp)
+
+
+def test_large_sum_leaves_no_memory_behind():
+    # a per-entry row cache would keep megabytes per call at this size
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        value = harmonic_sum(STAR_ODD, 2000, (2, 1))
+        assert value.denominator > 1
+        del value
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20, retained
 
 
 # -- hypothesis: oracle equivalence and order properties ----------------------
