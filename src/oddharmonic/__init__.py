@@ -23,7 +23,6 @@ from .exact import (
     PLUS_INFINITY,
     Valuation,
     as_rational,
-    binomial,
     double_factorial,
     padic_valuation,
     pochhammer,
@@ -34,11 +33,14 @@ from .hyper import (
     binomial_transform,
     chu_vandermonde,
     consecutive_product_sum,
+    consecutive_product_sum_prefixes,
     consecutive_product_sum_via_hyper,
     euler_binomial_harmonic,
     harmonic_via_hyper,
+    harmonic_via_hyper_prefixes,
     odd_harmonic_closed_form,
     odd_power_sum_identity,
+    odd_power_sum_identity_prefixes,
     pfq,
 )
 from .primes import (

@@ -136,30 +136,43 @@ def _cmd_bounds(args) -> int:
 
 
 def _parse_x_list(text: str) -> list[Fraction]:
-    return [Fraction(tok.strip()) for tok in text.split(",")]
+    xs = []
+    for tok in text.split(","):
+        try:
+            xs.append(Fraction(tok.strip()))
+        except ZeroDivisionError:
+            raise ValueError(f"--x-list entry {tok.strip()!r} has a zero denominator") from None
+    return xs
+
+
+def _or(value, default):
+    """The flag's value, or its default when the flag was not given."""
+    return default if value is None else value
 
 
 def _identity_rows(suite, n_max, s_max, m_max, xs, seed, count):
     """Yield (suite, n, s, m, x, sign, lhs, rhs) rows for one suite."""
     if suite in ("powersum", "alt-powersum"):
-        n_max, s_max = n_max or 20, s_max or 4
+        n_max, s_max = _or(n_max, 20), _or(s_max, 4)
         sign = -1 if suite == "alt-powersum" else 1
+        groups = [(s, x, hyper.odd_power_sum_identity_prefixes(n_max, s, x, sign))
+                  for s in range(1, s_max + 1) for x in xs]
         for n in range(1, n_max + 1):
-            for s in range(1, s_max + 1):
-                for x in xs:
-                    lhs, rhs = hyper.odd_power_sum_identity(n, s, x, sign)
-                    yield (suite, n, s, "", x, "", lhs, rhs)
+            for s, x, sides in groups:
+                lhs, rhs = next(sides)
+                yield (suite, n, s, "", x, "", lhs, rhs)
     elif suite == "depth1":
-        n_max, s_max = n_max or 30, s_max or 5
+        n_max, s_max = _or(n_max, 30), _or(s_max, 5)
+        groups = [(s, sign,
+                   hyper.harmonic_via_hyper_prefixes(n_max, s, sign, parity="odd"),
+                   hyper.harmonic_via_hyper_prefixes(n_max, s, sign, parity="standard"))
+                  for s in range(1, s_max + 1) for sign in (1, -1)]
         for n in range(1, n_max + 1):
-            for s in range(1, s_max + 1):
-                for sign in (1, -1):
-                    yield (suite, n, s, "", "", sign,
-                           hyper.harmonic_via_hyper(n, s, sign, parity="odd"),
-                           harmonic_sum(STRICT_ODD, n, (sign * s,)))
-                    yield ("depth1-standard", n, s, "", "", sign,
-                           hyper.harmonic_via_hyper(n, s, sign, parity="standard"),
-                           harmonic_sum(STRICT_STANDARD, n, (sign * s,)))
+            for s, sign, odd, standard in groups:
+                yield (suite, n, s, "", "", sign, next(odd),
+                       harmonic_sum(STRICT_ODD, n, (sign * s,)))
+                yield ("depth1-standard", n, s, "", "", sign, next(standard),
+                       harmonic_sum(STRICT_STANDARD, n, (sign * s,)))
         for n in range(1, 51):
             yield ("closed-form", n, 1, "", "", "",
                    hyper.odd_harmonic_closed_form(n),
@@ -168,7 +181,7 @@ def _identity_rows(suite, n_max, s_max, m_max, xs, seed, count):
                    hyper.euler_binomial_harmonic(n),
                    harmonic_sum(STRICT_STANDARD, n, (1,)))
     elif suite == "chu":
-        n_max, count = n_max or 10, count or 50
+        n_max, count = _or(n_max, 10), _or(count, 50)
         rng = random.Random(seed)
         for _ in range(count):
             b = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
@@ -180,18 +193,17 @@ def _identity_rows(suite, n_max, s_max, m_max, xs, seed, count):
                 lhs, rhs = hyper.chu_vandermonde(n, b, c)
                 yield (suite, n, "", "", f"{b};{c}", "", lhs, rhs)
     elif suite == "blocks":
-        n_max, m_max = n_max or 30, m_max or 8
+        n_max, m_max = _or(n_max, 30), _or(m_max, 8)
         for m in range(1, m_max + 1):
-            for n in range(1, n_max + 1):
-                yield (suite, n, "", m, "", "",
-                       hyper.consecutive_product_sum_via_hyper(m, n),
-                       hyper.consecutive_product_sum(m, n))
+            sides = hyper.consecutive_product_sum_prefixes(m, n_max)
+            for n, (via, direct) in enumerate(sides, start=1):
+                yield (suite, n, "", m, "", "", via, direct)
         for n in range(1, n_max + 1):
             yield ("blocks-depth1", n, "", 1, "", "",
                    hyper.consecutive_product_sum(1, n),
                    harmonic_sum(STRICT_ODD, n, (1,)))
     elif suite == "inversion":
-        n_max, s_max, m_max = n_max or 15, min(s_max or 3, 3), m_max or 5
+        n_max, s_max, m_max = _or(n_max, 15), min(_or(s_max, 3), 3), _or(m_max, 5)
         half, threehalf = Fraction(1, 2), Fraction(3, 2)
         for s in range(1, s_max + 1):
             for sign in (1, -1):
@@ -217,6 +229,10 @@ def _identity_rows(suite, n_max, s_max, m_max, xs, seed, count):
 
 
 def _cmd_identity(args) -> int:
+    for flag in ("n_max", "s_max", "m_max", "count"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise ValueError(f"--{flag.replace('_', '-')} must be at least 1, got {value}")
     xs = _parse_x_list(args.x_list)
     suites = [s for s in SUITES if s != "all"] if args.suite == "all" else [args.suite]
     print("suite,n,s,m,x,sign,lhs,rhs,equal")

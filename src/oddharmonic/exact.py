@@ -61,13 +61,6 @@ def pochhammer(a, i: int) -> Fraction:
     return result
 
 
-def binomial(n: int, k: int) -> int:
-    """C(n, k) for nonnegative integers, 0 when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError("need n >= 0 and k >= 0")
-    return math.comb(n, k)
-
-
 def double_factorial(n: int) -> int:
     """n!! = n(n-2)(n-4)..., with 0!! = (-1)!! = 1."""
     if n < -1:

@@ -2,17 +2,27 @@
 
 A series with a nonpositive-integer upper parameter truncates at the
 first vanishing rising factorial, so every evaluation here is a finite
-sum of exact rationals.  The identity helpers return both sides instead
-of a boolean so that a failing comparison is diagnosable.
+sum of exact rationals.  `pfq` folds the terms in integers over one
+common denominator and reduces once at the end.  The identity helpers
+return both sides instead of a boolean so that a failing comparison is
+diagnosable.
+
+An identity at n combines the series for k = 1..n, so checking it for
+every n up to n_max repeats the smaller series.  The `*_prefixes`
+generators give the values for n = 1..n_max instead: each series is
+evaluated once and kept (at most n_max values), and the left-hand sides
+are running prefix sums.  The per-n functions build on the same series
+and term helpers.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import accumulate
+from typing import Callable, Iterator, Sequence
 
-from .exact import as_rational, binomial, double_factorial, pochhammer
+from .exact import as_rational, double_factorial, pochhammer
 
 
 class NonTerminatingSeries(ValueError):
@@ -45,16 +55,23 @@ def pfq(upper: Sequence, lower: Sequence, x) -> Fraction:
     for b in lows:
         if b.denominator == 1 and b <= 0 and -int(b) < k_max:
             raise DegenerateLowerParameter(f"lower parameter {b} vanishes in range")
-    total = Fraction(1)
-    term = Fraction(1)
+    # With a = p/q and b = u/w, the term ratio prod(a+i)/prod(b+i) * x/(i+1)
+    # is prod(p+iq) prod(w) x_num / (prod(q) prod(u+iw) x_den (i+1)).  The
+    # term and the sum share one integer denominator, reduced at the end.
+    num_scale = x.numerator * math.prod(b.denominator for b in lows)
+    den_scale = x.denominator * math.prod(a.denominator for a in ups)
+    term = total = den = 1
     for i in range(k_max):
+        step_num = num_scale
         for a in ups:
-            term *= a + i
+            step_num *= a.numerator + i * a.denominator
+        step_den = den_scale * (i + 1)
         for b in lows:
-            term /= b + i
-        term *= Fraction(x, i + 1)
-        total += term
-    return total
+            step_den *= b.numerator + i * b.denominator
+        term *= step_num
+        den *= step_den
+        total = total * step_den + term
+    return Fraction(total, den)
 
 
 def alternating_binomial_sum(n: int, f: Callable[[int], Fraction]) -> Fraction:
@@ -62,27 +79,54 @@ def alternating_binomial_sum(n: int, f: Callable[[int], Fraction]) -> Fraction:
     total = Fraction(0)
     sign = 1
     for k in range(1, n + 1):
-        total += sign * binomial(n, k) * f(k)
+        total += sign * math.comb(n, k) * f(k)
         sign = -sign
     return total
+
+
+def _binomial_prefixes(n_max: int, f: Callable[[int], Fraction]) -> Iterator[Fraction]:
+    """alternating_binomial_sum(n, f) for n = 1..n_max, with each f(k)
+    evaluated once and kept for the larger n."""
+    values = []
+    for n in range(1, n_max + 1):
+        values.append(f(n))
+        yield alternating_binomial_sum(n, lambda k: values[k - 1])
+
+
+def _power_sum_parts(s: int, x, sign: int):
+    """The k-th left-hand term (k >= 0) and the k-th series (k >= 1) of
+    the power-sum identity."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    x = as_rational(x)
+    y = sign * x * x
+    return (lambda k: y ** k / (2 * k + 1) ** s,
+            lambda k: pfq((HALF,) * s + (1 - k,), (THREE_HALVES,) * s, y))
 
 
 def odd_power_sum_identity(n: int, s: int, x, sign: int = 1) -> tuple[Fraction, Fraction]:
     """Both sides of: sum (sign x^2)^k/(2k+1)^s over k < n equals the
     binomial combination of terminating series with halves parameters at
     sign x^2 (the alternating variant when sign = -1)."""
+    term, series = _power_sum_parts(s, x, sign)
+    return sum(map(term, range(n)), Fraction(0)), alternating_binomial_sum(n, series)
+
+
+def odd_power_sum_identity_prefixes(n_max: int, s: int, x,
+                                    sign: int = 1) -> Iterator[tuple[Fraction, Fraction]]:
+    """odd_power_sum_identity(n, s, x, sign) for n = 1..n_max, lazily,
+    with each series evaluated once."""
+    term, series = _power_sum_parts(s, x, sign)
+    return zip(accumulate(map(term, range(n_max))), _binomial_prefixes(n_max, series))
+
+
+def _harmonic_series(s: int, sign: int, parity: str) -> Callable[[int], Fraction]:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    x = as_rational(x)
-    y = sign * x * x
-    lhs = Fraction(0)
-    power = Fraction(1)
-    for k in range(n):
-        lhs += power / (2 * k + 1) ** s
-        power *= y
-    rhs = alternating_binomial_sum(
-        n, lambda k: pfq((HALF,) * s + (1 - k,), (THREE_HALVES,) * s, y))
-    return lhs, rhs
+    if parity not in _HYPER_BASE:
+        raise ValueError(f"parity must be odd or standard, got {parity!r}")
+    a = _HYPER_BASE[parity]
+    return lambda k: pfq((a,) * s + (1 - k,), (a + 1,) * s, sign)
 
 
 def harmonic_via_hyper(n: int, s: int, sign: int = 1, *, parity: str) -> Fraction:
@@ -92,13 +136,14 @@ def harmonic_via_hyper(n: int, s: int, sign: int = 1, *, parity: str) -> Fractio
     With a = 1/2 for odd and a = 1 for standard parity, each ratio
     (a)_i / (a+1)_i = a / (a+i) is the reciprocal of the i-th denominator.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if parity not in _HYPER_BASE:
-        raise ValueError(f"parity must be odd or standard, got {parity!r}")
-    a = _HYPER_BASE[parity]
-    return alternating_binomial_sum(
-        n, lambda k: pfq((a,) * s + (1 - k,), (a + 1,) * s, sign))
+    return alternating_binomial_sum(n, _harmonic_series(s, sign, parity))
+
+
+def harmonic_via_hyper_prefixes(n_max: int, s: int, sign: int = 1, *,
+                                parity: str) -> Iterator[Fraction]:
+    """harmonic_via_hyper(n, s, sign, parity=parity) for n = 1..n_max,
+    lazily, with each series evaluated once."""
+    return _binomial_prefixes(n_max, _harmonic_series(s, sign, parity))
 
 
 def odd_harmonic_closed_form(n: int) -> Fraction:
@@ -108,7 +153,7 @@ def odd_harmonic_closed_form(n: int) -> Fraction:
         raise ValueError("need n >= 1")
     total = Fraction(0)
     for k in range(1, n + 1):
-        total += Fraction((-2) ** (k - 1) * binomial(n, k) * math.factorial(k - 1),
+        total += Fraction((-2) ** (k - 1) * math.comb(n, k) * math.factorial(k - 1),
                           double_factorial(2 * k - 1))
     return total
 
@@ -123,6 +168,15 @@ def chu_vandermonde(n: int, b, c) -> tuple[Fraction, Fraction]:
     return lhs, rhs
 
 
+def _block_term(m: int, k: int) -> Fraction:
+    return Fraction(1, math.prod(range(2 * k + 1, 2 * k + m + 1)))
+
+
+def _block_series(m: int) -> Callable[[int], Fraction]:
+    fact = math.factorial(m - 1)
+    return lambda k: pfq((1, 1 - k), (m + k,), -1) / (fact * (m + k - 1))
+
+
 def consecutive_product_sum(m: int, n: int) -> Fraction:
     """sum over k < n of 1 / ((2k+1)(2k+2)...(2k+m)).
 
@@ -130,13 +184,7 @@ def consecutive_product_sum(m: int, n: int) -> Fraction:
     """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
-    total = Fraction(0)
-    for k in range(n):
-        den = 1
-        for j in range(1, m + 1):
-            den *= 2 * k + j
-        total += Fraction(1, den)
-    return total
+    return sum((_block_term(m, k) for k in range(n)), Fraction(0))
 
 
 def consecutive_product_sum_via_hyper(m: int, n: int) -> Fraction:
@@ -144,9 +192,16 @@ def consecutive_product_sum_via_hyper(m: int, n: int) -> Fraction:
     reduction of the iterated integral)."""
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
-    fact = math.factorial(m - 1)
-    return alternating_binomial_sum(
-        n, lambda k: pfq((1, 1 - k), (m + k,), -1) / (fact * (m + k - 1)))
+    return alternating_binomial_sum(n, _block_series(m))
+
+
+def consecutive_product_sum_prefixes(m: int, n_max: int) -> Iterator[tuple[Fraction, Fraction]]:
+    """(consecutive_product_sum_via_hyper(m, n), consecutive_product_sum(m, n))
+    for n = 1..n_max, lazily, with each series evaluated once."""
+    if m < 1:
+        raise ValueError("need m >= 1")
+    return zip(_binomial_prefixes(n_max, _block_series(m)),
+               accumulate(_block_term(m, k) for k in range(n_max)))
 
 
 def euler_binomial_harmonic(n: int) -> Fraction:
@@ -166,7 +221,7 @@ def binomial_inversion(values: Sequence) -> list[Fraction]:
     for m in range(1, len(f) + 1):
         total = Fraction(0)
         for k in range(1, m + 1):
-            term = binomial(m, k) * f[k - 1]
+            term = math.comb(m, k) * f[k - 1]
             total += term if (m - k) % 2 == 0 else -term
         out.append(total)
     return out
@@ -177,5 +232,5 @@ def binomial_transform(values: Sequence) -> list[Fraction]:
     g = [as_rational(v) for v in values]
     if not g:
         raise ValueError("need a nonempty sequence")
-    return [sum((binomial(m, k) * g[k - 1] for k in range(1, m + 1)), Fraction(0))
+    return [sum((math.comb(m, k) * g[k - 1] for k in range(1, m + 1)), Fraction(0))
             for m in range(1, len(g) + 1)]

@@ -4,9 +4,10 @@ import json
 import sys
 from fractions import Fraction
 
+from oddharmonic import hyper
 from oddharmonic.certificates import verify_odd_noninteger
 from oddharmonic.cli import main
-from oddharmonic.sums import STRICT_ODD, harmonic_sum
+from oddharmonic.sums import STRICT_ODD, STRICT_STANDARD, harmonic_sum
 
 
 def run(capsys, *argv):
@@ -136,20 +137,80 @@ def test_bounds_quick(capsys):
     assert any(line.startswith("12,1 2,") for line in lines)
 
 
+def _per_n_sides(name, n, s, m, x, sign):
+    """Both sides of one identity row, from the per-n library functions."""
+    n = int(n)
+    if name in ("powersum", "alt-powersum"):
+        return hyper.odd_power_sum_identity(n, int(s), Fraction(x),
+                                            -1 if name == "alt-powersum" else 1)
+    if name in ("depth1", "depth1-standard"):
+        s, sign = int(s), int(sign)
+        spec, parity = ((STRICT_ODD, "odd") if name == "depth1"
+                        else (STRICT_STANDARD, "standard"))
+        return (hyper.harmonic_via_hyper(n, s, sign, parity=parity),
+                harmonic_sum(spec, n, (sign * s,)))
+    if name == "closed-form":
+        return hyper.odd_harmonic_closed_form(n), harmonic_sum(STRICT_ODD, n, (1,))
+    if name == "euler":
+        return hyper.euler_binomial_harmonic(n), harmonic_sum(STRICT_STANDARD, n, (1,))
+    if name == "blocks":
+        return (hyper.consecutive_product_sum_via_hyper(int(m), n),
+                hyper.consecutive_product_sum(int(m), n))
+    if name == "blocks-depth1":
+        return hyper.consecutive_product_sum(1, n), harmonic_sum(STRICT_ODD, n, (1,))
+    raise AssertionError(f"no per-n function for {name}")
+
+
 def test_identity_check_suites_small(capsys):
-    for suite, extra in (
-        ("powersum", ("--n-max", "5", "--s-max", "2")),
-        ("alt-powersum", ("--n-max", "5", "--s-max", "2")),
-        ("chu", ("--n-max", "4", "--count", "6")),
-        ("blocks", ("--n-max", "6", "--m-max", "3")),
-        ("inversion", ("--n-max", "5", "--m-max", "2", "--s-max", "2")),
-    ):
+    xs = ("0", "-2/3", "5/4", "1")
+    grids = {  # suite: (flags, expected row count)
+        "powersum": (("--n-max", "7", "--s-max", "3", "--x-list", ",".join(xs)), 7 * 3 * 4),
+        "alt-powersum": (("--n-max", "7", "--s-max", "3", "--x-list", ",".join(xs)),
+                         7 * 3 * 4),
+        "depth1": (("--n-max", "9", "--s-max", "3"), 9 * 3 * 2 * 2 + 50 * 2),
+        "blocks": (("--n-max", "9", "--m-max", "4"), 9 * 4 + 9),
+        "chu": (("--n-max", "4", "--count", "6"), 6 * 5),
+        "inversion": (("--n-max", "5", "--m-max", "2", "--s-max", "2"),
+                      2 * 2 * 5 + 2 * 5 + 8),
+    }
+    for suite, (extra, count) in grids.items():
         code, out, _ = run(capsys, "identity-check", suite, *extra)
         assert code == 0, suite
         lines = out.strip().splitlines()
         assert lines[0] == "suite,n,s,m,x,sign,lhs,rhs,equal"
-        assert len(lines) > 1
+        assert len(lines) == 1 + count, suite
         assert all(line.endswith("True") for line in lines[1:]), suite
+        if suite in ("chu", "inversion"):
+            continue
+        # each row at n is the prefix of its series group at n
+        rows = [line.split(",") for line in lines[1:]]
+        for name, n, s, m, x, sign, lhs, rhs, _ in rows:
+            assert ((Fraction(lhs), Fraction(rhs))
+                    == _per_n_sides(name, n, s, m, x, sign)), (name, n, s, m, x, sign)
+        if suite.endswith("powersum"):
+            assert {(n, s, x) for _, n, s, _, x, *_ in rows} == {
+                (str(n), str(s), x) for n in range(1, 8) for s in (1, 2, 3) for x in xs}
+
+
+def test_identity_check_rejects_counts_below_one(capsys):
+    for flag in ("--n-max", "--s-max", "--m-max", "--count"):
+        for value in ("0", "-1"):
+            code, out, err = run(capsys, "identity-check", "all", flag, value)
+            assert code == 2, (flag, value)
+            assert out == ""
+            assert err.startswith("error:") and flag in err, err
+    code, out, _ = run(capsys, "identity-check", "chu", "--n-max", "1", "--count", "1")
+    assert code == 0 and len(out.strip().splitlines()) == 1 + 2
+
+
+def test_identity_check_rejects_zero_denominator_x(capsys):
+    for x_list in ("1/0", "1,2/0", "0/0"):
+        code, out, err = run(capsys, "identity-check", "powersum", "--x-list", x_list)
+        assert code == 2, x_list
+        assert out == ""
+        assert err.startswith("error:") and "zero denominator" in err, err
+    code, _, err = run(capsys, "identity-check", "powersum", "--x-list", "1,x")
+    assert code == 2 and err.startswith("error:")
 
 
 def test_identity_check_depth1_small(capsys):

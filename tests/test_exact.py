@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from oddharmonic.exact import (
     PLUS_INFINITY,
-    binomial,
     double_factorial,
     padic_valuation,
     pochhammer,
@@ -66,30 +65,6 @@ def test_pochhammer_examples():
 @given(rationals, st.integers(0, 8))
 def test_pochhammer_recurrence(a, i):
     assert pochhammer(a, i + 1) == pochhammer(a, i) * (a + i)
-
-
-def test_binomial():
-    assert binomial(3, 2) == 3
-    assert binomial(17, 0) == 1
-    assert binomial(59, 4) == 455126
-    assert binomial(4, 9) == 0
-    with pytest.raises(ValueError):
-        binomial(-1, 2)
-
-
-def test_binomial_against_product_formula():
-    def product_form(n, k):
-        if k > n:
-            return 0
-        num = den = 1
-        for i in range(1, k + 1):
-            num *= n - i + 1
-            den *= i
-        return num // den
-
-    for n in range(0, 25):
-        for k in range(0, 27):
-            assert binomial(n, k) == product_form(n, k)
 
 
 def test_double_factorial():

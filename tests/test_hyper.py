@@ -1,5 +1,6 @@
 """Terminating series evaluation and the identity suites at unit scale."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,13 +15,17 @@ from oddharmonic.hyper import (
     binomial_transform,
     chu_vandermonde,
     consecutive_product_sum,
+    consecutive_product_sum_prefixes,
     consecutive_product_sum_via_hyper,
     euler_binomial_harmonic,
     harmonic_via_hyper,
+    harmonic_via_hyper_prefixes,
     odd_harmonic_closed_form,
     odd_power_sum_identity,
+    odd_power_sum_identity_prefixes,
     pfq,
 )
+from oddharmonic.exact import pochhammer
 from oddharmonic.sums import STRICT_ODD, STRICT_STANDARD, harmonic_sum
 
 F = Fraction
@@ -49,20 +54,38 @@ def test_pfq_rejects_bad_specs():
     assert pfq((HALF, -2), (-7,), 1) is not None
 
 
-def test_pfq_matches_term_by_term_definition():
-    from oddharmonic.exact import pochhammer
-    import math
-    upper, lower, x = (HALF, F(2, 3), -4), (F(5, 2), F(7, 3)), F(3, 7)
-    expected = sum(
-        (
-            pochhammer(upper[0], i) * pochhammer(upper[1], i) * pochhammer(upper[2], i)
-            / (pochhammer(lower[0], i) * pochhammer(lower[1], i))
-            * x ** i / math.factorial(i)
-            for i in range(5)
-        ),
-        F(0),
-    )
+def _pfq_reference(upper, lower, x):
+    """The series term by term from rising factorials, up to the first
+    term whose upper rising factorials vanish."""
+    total, i = F(0), 0
+    while True:
+        num = math.prod(pochhammer(a, i) for a in upper)
+        if num == 0:
+            return total
+        den = math.prod(pochhammer(b, i) for b in lower)
+        total += num / den * F(x) ** i / math.factorial(i)
+        i += 1
+
+
+@pytest.mark.parametrize("upper, lower, x", [
+    # denominators > 1 on both sides, and differing between them
+    pytest.param((HALF, F(2, 3), -4), (F(5, 2), F(7, 3)), F(3, 7), id="fractions"),
+    pytest.param((F(3, 4), -5, F(7, 6)), (F(5, 8), F(2, 9)), F(11, 5), id="fractions-mixed"),
+    pytest.param((HALF, HALF, -5), (THREEHALF, THREEHALF), F(-4, 9), id="negative-x"),
+    pytest.param((1, -6), (9,), -1, id="x-minus-one"),
+    pytest.param((-3, F(2, 5)), (F(7, 4),), 0, id="x-zero"),
+    pytest.param((0, HALF), (THREEHALF,), 5, id="upper-zero"),
+    # nonpositive-integer lower parameters beyond the truncation range,
+    # so the step factors b + i are negative
+    pytest.param((-3, F(5, 3)), (-7,), 2, id="lower-negative"),
+    pytest.param((-4, -6), (-9, F(1, 3)), F(-3, 2), id="lower-negative-two"),
+    pytest.param((-2, -5), (THREEHALF,), 1, id="first-stop-truncates"),
+])
+def test_pfq_matches_term_by_term_definition(upper, lower, x):
+    expected = _pfq_reference(upper, lower, x)
     assert pfq(upper, lower, x) == expected
+    if 0 in upper or x == 0:
+        assert expected == 1
 
 
 # -- power-sum identities --------------------------------------------------------
@@ -187,6 +210,32 @@ def test_block_sums_agree():
         assert consecutive_product_sum(1, n) == harmonic_sum(STRICT_ODD, n, (1,))
 
 
+# -- prefix generators ---------------------------------------------------------------
+
+def test_prefixes_match_per_n_functions():
+    for s in (1, 3):
+        for x in (F(0), F(-2, 3), F(5, 4)):
+            for sign in (1, -1):
+                rows = list(odd_power_sum_identity_prefixes(6, s, x, sign))
+                assert rows == [odd_power_sum_identity(n, s, x, sign) for n in range(1, 7)]
+        for sign in (1, -1):
+            for parity in ("odd", "standard"):
+                values = list(harmonic_via_hyper_prefixes(7, s, sign, parity=parity))
+                assert values == [harmonic_via_hyper(n, s, sign, parity=parity)
+                                  for n in range(1, 8)]
+    for m in (1, 2, 5):
+        assert list(consecutive_product_sum_prefixes(m, 6)) == [
+            (consecutive_product_sum_via_hyper(m, n), consecutive_product_sum(m, n))
+            for n in range(1, 7)]
+    # bad arguments are rejected at the call, before any value is asked for
+    with pytest.raises(ValueError):
+        odd_power_sum_identity_prefixes(3, 1, 1, 0)
+    with pytest.raises(ValueError):
+        harmonic_via_hyper_prefixes(3, 1, 1, parity="even")
+    with pytest.raises(ValueError):
+        consecutive_product_sum_prefixes(0, 3)
+
+
 # -- binomial inversion ----------------------------------------------------------------
 
 def test_inversion_formula_fixed_points():
@@ -216,7 +265,6 @@ def test_inversion_corollaries():
                 rhs = alternating_binomial_sum(
                     n, lambda k: harmonic_sum(STRICT_ODD, k, (sign * s,)))
                 assert lhs == rhs, (s, sign, n)
-    import math
     for m in range(1, 5):
         for n in range(1, 9):
             lhs = pfq((1, 1 - n), (m + n,), -1)
