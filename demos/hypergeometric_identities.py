@@ -7,6 +7,8 @@ Each identity is checked by computing both sides as exact rationals.
 from fractions import Fraction
 
 from oddharmonic import (
+    STRICT_ODD,
+    STRICT_STANDARD,
     alternating_binomial_sum,
     binomial_inversion,
     binomial_transform,
@@ -14,12 +16,11 @@ from oddharmonic import (
     consecutive_product_sum,
     consecutive_product_sum_via_hyper,
     euler_binomial_harmonic,
+    harmonic_sum,
     harmonic_via_hyper,
-    odd_harmonic,
     odd_harmonic_closed_form,
     odd_power_sum_identity,
     pfq,
-    standard_harmonic,
 )
 
 F = Fraction
@@ -35,13 +36,14 @@ print(f"  {lhs} == {rhs}: {lhs == rhs}")
 print("\nDepth-one odd sums via hypergeometric values at +-1:")
 for n in (3, 10):
     for s in (1, 2):
-        direct = odd_harmonic(n, (s,))
+        direct = harmonic_sum(STRICT_ODD, n, (s,))
         via = harmonic_via_hyper(n, s, parity="odd")
         print(f"  n={n:>2} s={s}: {via} == {direct}: {via == direct}")
 
 print("\nDouble-factorial closed form of the odd harmonic number:")
 for n in (4, 9):
-    print(f"  n={n}: {odd_harmonic_closed_form(n)} == {odd_harmonic(n, (1,))}")
+    direct = harmonic_sum(STRICT_ODD, n, (1,))
+    print(f"  n={n}: {odd_harmonic_closed_form(n)} == {direct}")
 
 print("\nChu-Vandermonde, rational parameters:")
 lhs, rhs = chu_vandermonde(4, F(2, 5), F(7, 3))
@@ -55,10 +57,11 @@ for m, n in ((2, 5), (4, 7)):
 
 print("\nEuler's alternating-binomial form of the harmonic number:")
 for n in (5, 12):
-    print(f"  n={n:>2}: {euler_binomial_harmonic(n)} == {standard_harmonic(n, (1,))}")
+    direct = harmonic_sum(STRICT_STANDARD, n, (1,))
+    print(f"  n={n:>2}: {euler_binomial_harmonic(n)} == {direct}")
 
 print("\nBinomial inversion pairs the transforms (round trip on odd sums):")
-f = [odd_harmonic(k, (1,)) for k in range(1, 7)]
+f = [harmonic_sum(STRICT_ODD, k, (1,)) for k in range(1, 7)]
 g = binomial_inversion(f)
 print("  f =", f)
 print("  g =", g)
@@ -69,4 +72,4 @@ print("  g(m) alternates the hypergeometric value:",
 
 print("\n(The binomial-sum helper: sum (-1)^(k-1) C(n,k) f(k).)")
 print("  n=6, f = odd harmonic:",
-      alternating_binomial_sum(6, lambda k: odd_harmonic(k, (1,))))
+      alternating_binomial_sum(6, lambda k: harmonic_sum(STRICT_ODD, k, (1,))))

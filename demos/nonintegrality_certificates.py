@@ -10,7 +10,8 @@ and finally direct evaluation.
 import json
 
 from oddharmonic import (
-    odd_harmonic,
+    STRICT_ODD,
+    harmonic_sum,
     verify_odd_noninteger,
     verify_star_noninteger,
 )
@@ -40,5 +41,5 @@ print("satisfies 2*23 < 52 <= 3*23, but cancellation modulo 23 lifts the")
 print("valuation of the sum to +2, so the engine falls back to the direct")
 print("denominator check (and labels the certificate best-effort):")
 cert = verify_odd_noninteger(26, (1, 1))
-print(f"  value = {odd_harmonic(26, (1, 1))}")
+print(f"  value = {harmonic_sum(STRICT_ODD, 26, (1, 1))}")
 print(f"  {json.dumps(cert.to_json())}")

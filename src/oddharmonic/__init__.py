@@ -67,11 +67,8 @@ from .sums import (
     dominates,
     harmonic_sum,
     harmonic_sum_brute,
-    odd_harmonic,
-    odd_harmonic_star,
+    harmonic_sum_prefixes,
     ones_power_bound,
-    standard_harmonic,
-    standard_harmonic_star,
 )
 
 __version__ = "0.1.0"

@@ -220,7 +220,8 @@ def _require_all_positive(comp: Composition) -> None:
         raise ValueError("integrality certificates cover all-positive compositions")
 
 
-def _bertrand_certificate(spec: SumSpec, n: int, comp: Composition) -> Certificate:
+def _bertrand_certificate(spec: SumSpec, n: int, comp: Composition,
+                          value: Fraction | None) -> Certificate:
     """Rule 1: a prime n < p < 2n divides exactly one odd denominator.
 
     For star sums, and for strict sums of depth 1, the term using it at
@@ -229,7 +230,9 @@ def _bertrand_certificate(spec: SumSpec, n: int, comp: Composition) -> Certifica
     exact value, not assumed.
     """
     p = primes.bertrand_prime(n)
-    v = padic_valuation(harmonic_sum(spec, n, comp), p)
+    if value is None:
+        value = harmonic_sum(spec, n, comp)
+    v = padic_valuation(value, p)
     if v != -comp.weight:
         raise RuntimeError(
             f"valuation law failed: v_{p} of {spec.ordering} sum at n={n}, "
@@ -238,17 +241,21 @@ def _bertrand_certificate(spec: SumSpec, n: int, comp: Composition) -> Certifica
     return Certificate(STAR_VALUATION, n, comp, rule_index=1, prime=p, valuation=v)
 
 
-def verify_star_noninteger(n: int, comp: CompositionLike) -> Certificate:
+def verify_star_noninteger(n: int, comp: CompositionLike, *,
+                           value: Fraction | None = None) -> Certificate:
     """Certificate that the odd star sum at n >= 2 is not an integer.
 
-    A prime n < p < 2n forces valuation exactly -weight (rule 1).
+    A prime n < p < 2n forces valuation exactly -weight (rule 1).  A
+    caller that already holds the sum passes it as value, which must
+    equal harmonic_sum(STAR_ODD, n, comp); rule 1 then checks its
+    valuation on that value instead of evaluating the sum again.
     """
     comp = Composition.coerce(comp)
     _require_all_positive(comp)
     STAR_ODD.validate(n, comp)
     if n == 1:
         return Certificate(TRIVIAL_INTEGER, n, comp, rule_index=0)
-    return _bertrand_certificate(STAR_ODD, n, comp)
+    return _bertrand_certificate(STAR_ODD, n, comp, value)
 
 
 def valuation_under_window(n: int, r: int, comp: CompositionLike, p: int) -> int:
@@ -311,7 +318,8 @@ def _magnitude_bound(n: int, comp: Composition) -> Fraction | None:
 _VALUE_CHECK_LIMIT = 20_000
 
 
-def verify_odd_noninteger(n: int, comp: CompositionLike) -> Certificate:
+def verify_odd_noninteger(n: int, comp: CompositionLike, *,
+                          value: Fraction | None = None) -> Certificate:
     """Certificate that the strict odd sum at n >= 2 is not an integer.
 
     Runs the module-level cascade; the first applicable rule wins.  When
@@ -319,6 +327,11 @@ def verify_odd_noninteger(n: int, comp: CompositionLike) -> Certificate:
     denominator checked, whichever bound rule fired.  Certificates from
     rules 4-6 outside the tabulated regime (n past the window threshold,
     or depth > 17) are flagged best_effort.
+
+    A caller that already holds the sum passes it as value, which must
+    equal harmonic_sum(STRICT_ODD, n, comp).  It then replaces every
+    evaluation of the sum: rules 1 and 3 check their valuation and the
+    final check its denominator on that exact value.
     """
     comp = Composition.coerce(comp)
     _require_all_positive(comp)
@@ -327,10 +340,9 @@ def verify_odd_noninteger(n: int, comp: CompositionLike) -> Certificate:
         return Certificate(TRIVIAL_INTEGER, n, comp, rule_index=0)
     r = comp.depth
     if r == 1:
-        return _bertrand_certificate(STRICT_ODD, n, comp)
+        return _bertrand_certificate(STRICT_ODD, n, comp, value)
 
     cert: Certificate | None = None
-    value: Fraction | None = None  # evaluated at most once, for rules 3 and 6
     if depth_threshold_holds(n, r):
         bound = ones_power_bound(n, r)
         if bound < 1:
@@ -339,7 +351,8 @@ def verify_odd_noninteger(n: int, comp: CompositionLike) -> Certificate:
     if cert is None:
         p = primes.window_prime(n, r)
         if p is not None:
-            value = harmonic_sum(STRICT_ODD, n, comp)
+            if value is None:  # kept for the final check
+                value = harmonic_sum(STRICT_ODD, n, comp)
             v = padic_valuation(value, p)
             if isinstance(v, int) and v < 0:
                 return Certificate(WINDOW_VALUATION, n, comp, rule_index=3,

@@ -20,12 +20,14 @@ from .certificates import (
     verify_star_noninteger,
 )
 from .sums import (
+    STAR_ODD,
     STRICT_ODD,
     STRICT_STANDARD,
     Composition,
     SumSpec,
     compositions,
     harmonic_sum,
+    harmonic_sum_prefixes,
 )
 
 _X_DEFAULT = "1,1/2,1/3,2/5"
@@ -79,15 +81,25 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    verifier = verify_star_noninteger if args.ordering == "star" else verify_odd_noninteger
+    spec, verifier = ((STAR_ODD, verify_star_noninteger) if args.ordering == "star"
+                      else (STRICT_ODD, verify_odd_noninteger))
     depth_max = args.depth_max if args.depth_max is not None else args.weight_max
+    # One fold per composition, advanced in lockstep over n; a composition
+    # has rows from n = its depth on.
+    groups = []
+    for comp_t in compositions(args.weight_max, min(depth_max, args.n_max)):
+        start = max(args.n_min, len(comp_t))
+        if start <= args.n_max:
+            values = harmonic_sum_prefixes(spec, comp_t, start, args.n_max)
+            groups.append((comp_t, start, values))
     failures = 0
     for n in range(args.n_min, args.n_max + 1):
-        for comp_t in compositions(args.weight_max, depth_max):
-            if len(comp_t) > n:
+        for comp_t, start, values in groups:
+            if n < start:
                 continue
+            value = next(values)
             try:
-                cert = verifier(n, Composition(comp_t))
+                cert = verifier(n, Composition(comp_t), value=value)
             except RuntimeError as exc:
                 print(f"FAIL n={n} comp={','.join(map(str, comp_t))}: {exc}",
                       file=sys.stderr)
@@ -165,21 +177,22 @@ def _identity_rows(suite, n_max, s_max, m_max, xs, seed, count):
         n_max, s_max = _or(n_max, 30), _or(s_max, 5)
         groups = [(s, sign,
                    hyper.harmonic_via_hyper_prefixes(n_max, s, sign, parity="odd"),
-                   hyper.harmonic_via_hyper_prefixes(n_max, s, sign, parity="standard"))
+                   harmonic_sum_prefixes(STRICT_ODD, (sign * s,), 1, n_max),
+                   hyper.harmonic_via_hyper_prefixes(n_max, s, sign, parity="standard"),
+                   harmonic_sum_prefixes(STRICT_STANDARD, (sign * s,), 1, n_max))
                   for s in range(1, s_max + 1) for sign in (1, -1)]
         for n in range(1, n_max + 1):
-            for s, sign, odd, standard in groups:
-                yield (suite, n, s, "", "", sign, next(odd),
-                       harmonic_sum(STRICT_ODD, n, (sign * s,)))
+            for s, sign, odd, odd_direct, standard, standard_direct in groups:
+                yield (suite, n, s, "", "", sign, next(odd), next(odd_direct))
                 yield ("depth1-standard", n, s, "", "", sign, next(standard),
-                       harmonic_sum(STRICT_STANDARD, n, (sign * s,)))
+                       next(standard_direct))
+        odd_direct = harmonic_sum_prefixes(STRICT_ODD, (1,), 1, 50)
+        standard_direct = harmonic_sum_prefixes(STRICT_STANDARD, (1,), 1, 50)
         for n in range(1, 51):
             yield ("closed-form", n, 1, "", "", "",
-                   hyper.odd_harmonic_closed_form(n),
-                   harmonic_sum(STRICT_ODD, n, (1,)))
+                   hyper.odd_harmonic_closed_form(n), next(odd_direct))
             yield ("euler", n, 1, "", "", "",
-                   hyper.euler_binomial_harmonic(n),
-                   harmonic_sum(STRICT_STANDARD, n, (1,)))
+                   hyper.euler_binomial_harmonic(n), next(standard_direct))
     elif suite == "chu":
         n_max, count = _or(n_max, 10), _or(count, 50)
         rng = random.Random(seed)
@@ -198,19 +211,19 @@ def _identity_rows(suite, n_max, s_max, m_max, xs, seed, count):
             sides = hyper.consecutive_product_sum_prefixes(m, n_max)
             for n, (via, direct) in enumerate(sides, start=1):
                 yield (suite, n, "", m, "", "", via, direct)
-        for n in range(1, n_max + 1):
+        direct = harmonic_sum_prefixes(STRICT_ODD, (1,), 1, n_max)
+        for n, value in enumerate(direct, start=1):
             yield ("blocks-depth1", n, "", 1, "", "",
-                   hyper.consecutive_product_sum(1, n),
-                   harmonic_sum(STRICT_ODD, n, (1,)))
+                   hyper.consecutive_product_sum(1, n), value)
     elif suite == "inversion":
-        n_max, s_max, m_max = _or(n_max, 15), min(_or(s_max, 3), 3), _or(m_max, 5)
+        n_max, s_max, m_max = _or(n_max, 15), _or(s_max, 3), _or(m_max, 5)
         half, threehalf = Fraction(1, 2), Fraction(3, 2)
         for s in range(1, s_max + 1):
             for sign in (1, -1):
+                f = list(harmonic_sum_prefixes(STRICT_ODD, (sign * s,), 1, n_max))
                 for n in range(1, n_max + 1):
                     lhs = hyper.pfq((half,) * s + (1 - n,), (threehalf,) * s, sign)
-                    rhs = hyper.alternating_binomial_sum(
-                        n, lambda k: harmonic_sum(STRICT_ODD, k, (sign * s,)))
+                    rhs = hyper.alternating_binomial_sum(n, lambda k: f[k - 1])
                     yield (suite, n, s, "", "", sign, lhs, rhs)
         for m in range(1, m_max + 1):
             for n in range(1, n_max + 1):

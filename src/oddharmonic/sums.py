@@ -9,9 +9,12 @@ the alternating exponent: its factor is (-1)**k / base(k)**s.
 Evaluation is one integer fold over the summation index k = 0..n-1: a
 vector of r+1 numerators over one common denominator holds the prefix
 sums of every depth, and each step multiplies it through by a power of
-base(k), so no step needs a gcd.  The sum is reduced once, at the end.
-Nothing is cached.  The brute-force enumerator is kept as an independent
-oracle.
+base(k), so no step needs a gcd.  The state after index k-1 is the sum
+at n = k, so `harmonic_sum_prefixes` gets the sums at every n up to
+n_max from one fold and reduces each to a Fraction only when it yields
+it; `harmonic_sum` is its single value at n.  Nothing is cached: the
+state is the r+1 integers of the fold.  The brute-force enumerator is
+kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -135,24 +138,41 @@ STAR_ODD = SumSpec("star", "odd")
 
 
 def harmonic_sum(spec: SumSpec, n: int, comp: CompositionLike) -> Fraction:
-    """Exact value of the specified nested sum.
+    """Exact value of the specified nested sum."""
+    return next(harmonic_sum_prefixes(spec, comp, n, n))
 
-    After index k, v[j] / v[0] is the sum over the first j exponents
-    with every index <= k; the numerators stay integers because each
-    step multiplies the whole vector by base(k)**scale.
+
+def harmonic_sum_prefixes(spec: SumSpec, comp: CompositionLike,
+                          n_min: int, n_max: int) -> Iterator[Fraction]:
+    """harmonic_sum(spec, n, comp) for n = n_min..n_max, lazily, from one
+    fold up to n_max.
+
+    The arguments are checked at the call: depth <= n_min <= n_max.
     """
     comp = Composition.coerce(comp)
-    spec.validate(n, comp)
+    spec.validate(n_min, comp)
+    if n_max < n_min:
+        raise ValueError(f"need n_min <= n_max, got {n_min} > {n_max}")
+    return _fold(spec, comp, int(n_min), int(n_max))
+
+
+def _fold(spec: SumSpec, comp: Composition, n_min: int, n_max: int) -> Iterator[Fraction]:
+    """After index k, v[j] / v[0] is the sum over the first j exponents
+    with every index <= k; the numerators stay integers because each
+    step multiplies the whole vector by base(k)**scale.  Only the sums
+    at n >= n_min are reduced to a Fraction.
+    """
     r = comp.depth
     mags = comp.magnitudes()
     signed = [e < 0 for e in comp.indices]
-    scale = comp.weight if spec.star else max(mags)
+    star, odd = spec.star, spec.odd
+    scale = comp.weight if star else max(mags)
     v = [1] + [0] * r
-    for k in range(int(n)):
-        base = 2 * k + 1 if spec.odd else k + 1
+    for k in range(n_max):
+        base = 2 * k + 1 if odd else k + 1
         step = base ** scale
         flip = k & 1
-        if spec.star:  # ascending: v[j-1] already includes index k
+        if star:  # ascending: v[j-1] already includes index k
             v[0] *= step
             for j in range(1, r + 1):
                 # exact: v[j-1] is now a multiple of base ** (scale minus
@@ -164,7 +184,8 @@ def harmonic_sum(spec: SumSpec, n: int, comp: CompositionLike) -> Fraction:
                 term = v[j - 1] * base ** (scale - mags[j - 1])
                 v[j] = v[j] * step + (-term if flip and signed[j - 1] else term)
             v[0] *= step
-    return Fraction(v[r], v[0])
+        if k >= n_min - 1:
+            yield Fraction(v[r], v[0])
 
 
 def harmonic_sum_brute(spec: SumSpec, n: int, comp: CompositionLike,
@@ -240,19 +261,3 @@ def _compositions_of(weight: int, depth: int) -> Iterator[tuple[int, ...]]:
     for first in range(1, weight - depth + 2):
         for rest in _compositions_of(weight - first, depth - 1):
             yield (first,) + rest
-
-
-def odd_harmonic(n: int, comp: CompositionLike) -> Fraction:
-    return harmonic_sum(STRICT_ODD, n, comp)
-
-
-def odd_harmonic_star(n: int, comp: CompositionLike) -> Fraction:
-    return harmonic_sum(STAR_ODD, n, comp)
-
-
-def standard_harmonic(n: int, comp: CompositionLike) -> Fraction:
-    return harmonic_sum(STRICT_STANDARD, n, comp)
-
-
-def standard_harmonic_star(n: int, comp: CompositionLike) -> Fraction:
-    return harmonic_sum(STAR_STANDARD, n, comp)

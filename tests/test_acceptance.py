@@ -34,9 +34,6 @@ from oddharmonic.sums import (
     compositions,
     harmonic_sum,
     harmonic_sum_brute,
-    odd_harmonic,
-    odd_harmonic_star,
-    standard_harmonic,
 )
 
 F = Fraction
@@ -67,10 +64,10 @@ def test_criterion_1_threshold_table(capsys):
 
 
 def test_criterion_2_known_exceptions(capsys):
-    ok = all(standard_harmonic(1, (s,)) == 1 for s in range(1, 11))
-    ok &= standard_harmonic(3, (1, 1)) == 1
-    ok &= all(odd_harmonic(1, (s,)) == 1 for s in range(1, 11))
-    ok &= all(odd_harmonic_star(1, (s,)) == 1 for s in range(1, 11))
+    ok = all(harmonic_sum(STRICT_STANDARD, 1, (s,)) == 1 for s in range(1, 11))
+    ok &= harmonic_sum(STRICT_STANDARD, 3, (1, 1)) == 1
+    ok &= all(harmonic_sum(STRICT_ODD, 1, (s,)) == 1 for s in range(1, 11))
+    ok &= all(harmonic_sum(STAR_ODD, 1, (s,)) == 1 for s in range(1, 11))
     with capsys.disabled():
         _report("2 known integer exceptions", ok)
     assert ok
@@ -86,8 +83,8 @@ def test_criterion_3_nonintegrality_sweep(capsys):
             if len(comp) > n:
                 continue
             cases += 1
-            value = odd_harmonic(n, comp)
-            star = odd_harmonic_star(n, comp)
+            value = harmonic_sum(STRICT_ODD, n, comp)
+            star = harmonic_sum(STAR_ODD, n, comp)
             cert = verify_odd_noninteger(n, comp)
             cert_star = verify_star_noninteger(n, comp)
             if (value.denominator == 1 or star.denominator == 1
@@ -167,7 +164,7 @@ def test_criterion_4_window_valuation_law(capsys):
                 bad.append((n, r, p, "window structure"))
             for _ in range(20):
                 comp = tuple(rng.randint(1, 3) for _ in range(r))
-                v = padic_valuation(odd_harmonic(n, comp), p)
+                v = padic_valuation(harmonic_sum(STRICT_ODD, n, comp), p)
                 bound = _window_multiplicity(n, comp, p)
                 top = sum(sorted(comp)[r // 2:])  # the ceil(r/2) largest entries
                 checked += 1
@@ -249,12 +246,12 @@ def test_criterion_7_identity_suites(capsys):
         for s in range(1, 6):
             for sign in (1, -1):
                 if (hyper.harmonic_via_hyper(n, s, sign, parity="odd")
-                        != odd_harmonic(n, (sign * s,))):
+                        != harmonic_sum(STRICT_ODD, n, (sign * s,))):
                     bad.append(("depth1", n, s, sign))
     for n in range(1, 51):
-        if hyper.odd_harmonic_closed_form(n) != odd_harmonic(n, (1,)):
+        if hyper.odd_harmonic_closed_form(n) != harmonic_sum(STRICT_ODD, n, (1,)):
             bad.append(("closed-form", n))
-        if hyper.euler_binomial_harmonic(n) != standard_harmonic(n, (1,)):
+        if hyper.euler_binomial_harmonic(n) != harmonic_sum(STRICT_STANDARD, n, (1,)):
             bad.append(("euler", n))
     for m in range(1, 9):
         for n in range(1, 31):
@@ -277,7 +274,7 @@ def test_criterion_7_identity_suites(capsys):
             for n in range(1, 16):
                 lhs = hyper.pfq((half,) * s + (1 - n,), (threehalf,) * s, sign)
                 rhs = hyper.alternating_binomial_sum(
-                    n, lambda k: odd_harmonic(k, (sign * s,)))
+                    n, lambda k: harmonic_sum(STRICT_ODD, k, (sign * s,)))
                 if lhs != rhs:
                     bad.append(("inversion", s, sign, n))
     import math

@@ -26,7 +26,7 @@ from oddharmonic.certificates import (
     verify_star_noninteger,
 )
 from oddharmonic.exact import padic_valuation
-from oddharmonic.sums import compositions, odd_harmonic, odd_harmonic_star
+from oddharmonic.sums import STAR_ODD, STRICT_ODD, compositions, harmonic_sum
 
 F = Fraction
 
@@ -37,14 +37,14 @@ def test_star_certificate_examples():
     cert = verify_star_noninteger(2, (1, 1))
     assert cert.kind == STAR_VALUATION
     assert (cert.prime, cert.valuation) == (3, -2)
-    assert odd_harmonic_star(2, (1, 1)) == F(13, 9)
+    assert harmonic_sum(STAR_ODD, 2, (1, 1)) == F(13, 9)
 
     cert = verify_star_noninteger(2, (1,))
     assert (cert.prime, cert.valuation) == (3, -1)
 
     cert = verify_star_noninteger(1, (5,))
     assert cert.kind == TRIVIAL_INTEGER
-    assert odd_harmonic_star(1, (5,)) == 1
+    assert harmonic_sum(STAR_ODD, 1, (5,)) == 1
 
 
 def test_star_valuation_is_minus_weight():
@@ -92,10 +92,10 @@ def test_window_prime_can_fail_to_certify():
         (7, 2, (2, 1), 5, 0),
     ]
     for n, r, comp, p, v in known:
-        assert padic_valuation(odd_harmonic(n, comp), p) == v
+        assert padic_valuation(harmonic_sum(STRICT_ODD, n, comp), p) == v
         with pytest.raises(RuntimeError):
             valuation_under_window(n, r, comp, p)
-        assert odd_harmonic(n, comp).denominator > 1
+        assert harmonic_sum(STRICT_ODD, n, comp).denominator > 1
         assert verify_odd_noninteger(n, comp).kind != TRIVIAL_INTEGER
 
 
@@ -199,7 +199,7 @@ def test_tail_coefficients_recompose_the_sum():
                 (c / F((2 * k + 1) ** comp[0]) for k, c in enumerate(tc.values)),
                 F(0),
             )
-            assert total == odd_harmonic(n, comp)
+            assert total == harmonic_sum(STRICT_ODD, n, comp)
 
 
 def test_leading_exponent_bound_example():
@@ -220,7 +220,7 @@ def test_large_first_exponent_forces_noninteger():
         for tail in [t for t in compositions(3) if len(t) + 1 <= min(n - 1, 4)]:
             bound = leading_exponent_bound(n, tail)
             for s1 in range(bound + 1, bound + 6):
-                value = odd_harmonic(n, (s1,) + tail)
+                value = harmonic_sum(STRICT_ODD, n, (s1,) + tail)
                 assert value.denominator > 1, (n, tail, s1)
 
 
@@ -254,6 +254,27 @@ def test_cascade_depth_rules():
     cert = verify_odd_noninteger(8, (1,) * 8)       # 8 >= e(log(15)/2+1) ~ 6.4
     assert cert.kind == DEPTH_BOUND
     assert cert.bound < 1
+
+
+def test_given_value_is_what_each_rule_checks():
+    # rule 1 reads its valuation off the given value
+    for verifier, spec in ((verify_star_noninteger, STAR_ODD),
+                           (verify_odd_noninteger, STRICT_ODD)):
+        value = harmonic_sum(spec, 9, (2,))
+        cert = verifier(9, (2,), value=value)
+        assert cert == verifier(9, (2,))
+        with pytest.raises(RuntimeError, match="valuation law"):
+            verifier(9, (2,), value=value * cert.prime)
+    # so does rule 3
+    value = harmonic_sum(STRICT_ODD, 12, (1, 1))
+    cert = verify_odd_noninteger(12, (1, 1), value=value)
+    assert cert == verify_odd_noninteger(12, (1, 1))
+    cert = verify_odd_noninteger(12, (1, 1), value=value / 11)
+    assert (cert.kind, cert.prime, cert.valuation) == (WINDOW_VALUATION, 11, -2)
+    # and the final denominator check, after each of rules 2-6
+    for n, comp in ((8, (1,) * 8), (12, (1, 1)), (5, (1, 2)), (5, (3, 1)), (5, (1, 1))):
+        with pytest.raises(RuntimeError, match="integer value 3 "):
+            verify_odd_noninteger(n, comp, value=Fraction(3))
 
 
 def test_cascade_rejects_bad_input():
@@ -311,7 +332,7 @@ def test_cascade_soundness_sample():
                 continue
             cert = verify_odd_noninteger(n, comp)
             assert cert.kind != TRIVIAL_INTEGER
-            assert odd_harmonic(n, comp).denominator > 1
+            assert harmonic_sum(STRICT_ODD, n, comp).denominator > 1
 
 
 # -- decimal bound table ---------------------------------------------------------

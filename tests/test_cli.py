@@ -1,13 +1,16 @@
 """CLI surface: commands, formats, exit codes, output round-trips."""
 
+import hashlib
 import json
 import sys
 from fractions import Fraction
 
+import pytest
+
 from oddharmonic import hyper
-from oddharmonic.certificates import verify_odd_noninteger
+from oddharmonic.certificates import verify_odd_noninteger, verify_star_noninteger
 from oddharmonic.cli import main
-from oddharmonic.sums import STRICT_ODD, STRICT_STANDARD, harmonic_sum
+from oddharmonic.sums import STRICT_ODD, STRICT_STANDARD, compositions, harmonic_sum
 
 
 def run(capsys, *argv):
@@ -110,6 +113,56 @@ def test_sweep_deterministic_and_sound(capsys):
     # graded-lex over compositions within each n
     first_n2 = [d["composition"] for d in docs if d["n"] == 2]
     assert first_n2[:4] == ["1", "2", "1,1", "3"]
+
+
+EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+
+# SHA-256 and line count of the stdout of each sweep, recorded when every
+# (n, composition) of a sweep was evaluated on its own.
+@pytest.mark.parametrize("family, flags, digest, lines", [
+    ("--strict", (), "4b6ec35239c95846e9bd88f1b42b28636f0c6d5eec4ef706f5973656cf63a8cb", 621),
+    ("--star", (), "6b287c65c89c0aaa969a94742a38ebd699bc439309238d621ef56a2373ee1ed5", 621),
+    ("--strict", ("--n-min", "0"),
+     "43029e2cfd3821d4efa06b7ac76376aa967a137503d37413d7753d23c565e791", 627),
+    ("--strict", ("--n-min", "1"),
+     "43029e2cfd3821d4efa06b7ac76376aa967a137503d37413d7753d23c565e791", 627),
+    ("--star", ("--n-min", "0"),
+     "331f91def02a314d1137a98041d1c68375190cc92ca7c036f3d16ab0cbc4477d", 627),
+    ("--star", ("--n-min", "1"),
+     "331f91def02a314d1137a98041d1c68375190cc92ca7c036f3d16ab0cbc4477d", 627),
+    ("--strict", ("--n-min", "13"), EMPTY_SHA256, 0),
+    ("--star", ("--n-min", "13"), EMPTY_SHA256, 0),
+    ("--strict", ("--weight-max", "0"), EMPTY_SHA256, 0),
+    ("--star", ("--weight-max", "0"), EMPTY_SHA256, 0),
+    ("--strict", ("--depth-max", "3"),
+     "ff49876a0ef25d0c348c038358d4e6778d7089b8813c327a037e3331f9e4fe94", 431),
+    ("--star", ("--depth-max", "3"),
+     "72e80f18f10cc44ed41f8d63c09770ea729ce2f7f8f148a40edd9a93777bb1cc", 431),
+    # later flags win; here compositions reach past --n-max, and n below 1
+    ("--strict", ("--n-min", "-3", "--n-max", "4", "--weight-max", "5"),
+     "3f8b7a945eeabdfd2379df7505a6cbadc6dc47d8724af7bd63e2da139016f6f6", 75),
+    ("--star", ("--n-min", "-3", "--n-max", "4", "--weight-max", "5"),
+     "287fe443c7e947c4b5a5fef5128e0e420fbc3459d5b9f0aeb1a487bbdf643305", 75),
+])
+def test_sweep_output_digest(capsys, family, flags, digest, lines):
+    code, out, err = run(capsys, "sweep", "--n-max", "12", "--weight-max", "6",
+                         family, *flags)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("family, verifier", [("--strict", verify_odd_noninteger),
+                                              ("--star", verify_star_noninteger)])
+def test_sweep_matches_verify_without_value(capsys, family, verifier):
+    # the sweep hands each certificate its value; verify evaluates its own
+    code, out, _ = run(capsys, "sweep", "--n-min", "1", "--n-max", "14",
+                       "--weight-max", "6", family)
+    assert code == 0
+    expected = [json.dumps(verifier(n, comp).to_json())
+                for n in range(1, 15) for comp in compositions(6) if len(comp) <= n]
+    assert out.splitlines() == expected
 
 
 def test_table_csv(capsys):
@@ -217,3 +270,11 @@ def test_identity_check_depth1_small(capsys):
     code, out, _ = run(capsys, "identity-check", "depth1", "--n-max", "4", "--s-max", "2")
     assert code == 0
     assert all(line.endswith("True") for line in out.strip().splitlines()[1:])
+
+
+def test_identity_check_inversion_s_max_is_not_capped(capsys):
+    code, out, _ = run(capsys, "identity-check", "inversion", "--s-max", "5")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert all(row[-1] == "True" for row in rows)
+    assert {row[2] for row in rows if row[0] == "inversion"} == {"1", "2", "3", "4", "5"}

@@ -20,8 +20,7 @@ from oddharmonic.sums import (
     dominates,
     harmonic_sum,
     harmonic_sum_brute,
-    odd_harmonic,
-    odd_harmonic_star,
+    harmonic_sum_prefixes,
     ones_power_bound,
 )
 
@@ -77,18 +76,19 @@ def test_known_values_strict_standard():
 
 
 def test_known_values_odd():
-    assert odd_harmonic(2, (1,)) == F(4, 3)
-    assert odd_harmonic(3, (1,)) == F(23, 15)
-    assert odd_harmonic(2, (-1,)) == F(2, 3)
-    assert odd_harmonic(2, (1, 1)) == F(1, 3)
-    assert odd_harmonic_star(2, (1, 1)) == F(13, 9)
+    assert harmonic_sum(STRICT_ODD, 2, (1,)) == F(4, 3)
+    assert harmonic_sum(STRICT_ODD, 3, (1,)) == F(23, 15)
+    assert harmonic_sum(STRICT_ODD, 2, (-1,)) == F(2, 3)
+    assert harmonic_sum(STRICT_ODD, 2, (1, 1)) == F(1, 3)
+    assert harmonic_sum(STAR_ODD, 2, (1, 1)) == F(13, 9)
     assert harmonic_sum(STAR_STANDARD, 1, (7,)) == 1
 
 
 def test_frozen_regression_values():
     # independently computed (enumeration + Newton identity)
-    assert odd_harmonic(12, (1, 1)) == F(65616235922, 35137127025)
-    assert odd_harmonic(26, (1, 1)) == F(66784782068185875410609, 23884257395269078782975)
+    assert harmonic_sum(STRICT_ODD, 12, (1, 1)) == F(65616235922, 35137127025)
+    assert harmonic_sum(STRICT_ODD, 26, (1, 1)) == F(66784782068185875410609,
+                                                     23884257395269078782975)
 
 
 def test_input_coercion_forms():
@@ -145,6 +145,52 @@ def test_matches_prefix_reference_up_to_n_300():
             comp = tuple(comp)
             assert harmonic_sum(spec, n, comp) == _prefix_reference(spec, n, comp), (
                 spec, n, comp)
+
+
+# (spec, composition, n_min, n_max): n_min = 1, n_min > depth, n_min = depth
+PREFIX_CASES = [
+    (STRICT_STANDARD, (-2,), 1, 9),
+    (STRICT_STANDARD, (1, 2), 4, 10),
+    (STAR_STANDARD, (2, 1, 1), 3, 8),
+    (STAR_STANDARD, (-1,), 1, 9),
+    (STRICT_ODD, (1, -2, 1), 3, 9),
+    (STRICT_ODD, (3,), 5, 9),
+    (STRICT_ODD, (-1,), 1, 1),
+    (STAR_ODD, (-1, 2), 2, 8),
+    (STAR_ODD, (1, 1, -1), 6, 9),
+]
+
+
+@pytest.mark.parametrize("spec, comp, n_min, n_max", PREFIX_CASES)
+def test_prefixes_match_brute_force(spec, comp, n_min, n_max):
+    got = list(harmonic_sum_prefixes(spec, comp, n_min, n_max))
+    assert got == [harmonic_sum_brute(spec, n, comp) for n in range(n_min, n_max + 1)]
+
+
+def test_prefixes_match_prefix_reference():
+    rng = random.Random(20261019)
+    for spec in ALL_SPECS:
+        r = rng.randint(1, 3)
+        comp = [rng.randint(1, 3) for _ in range(r)]
+        if spec.odd or r == 1:
+            comp[rng.randrange(r)] *= -1
+        comp = tuple(comp)
+        for n_min in (r, r + 1, 57):
+            got = list(harmonic_sum_prefixes(spec, comp, n_min, 60))
+            assert got == [_prefix_reference(spec, n, comp)
+                           for n in range(n_min, 61)], (spec, comp, n_min)
+
+
+def test_prefixes_validate_at_the_call():
+    with pytest.raises(ValueError):
+        harmonic_sum_prefixes(STRICT_ODD, (1, 1, 1), 2, 9)    # n_min below depth
+    with pytest.raises(ValueError):
+        harmonic_sum_prefixes(STRICT_ODD, (1,), 0, 9)         # n_min below 1
+    with pytest.raises(ValueError):
+        harmonic_sum_prefixes(STRICT_ODD, (1,), 5, 4)         # empty range
+    with pytest.raises(ValueError):
+        harmonic_sum_prefixes(STRICT_STANDARD, (1, -2), 2, 9)  # alternating, standard
+    assert list(harmonic_sum_prefixes(STAR_ODD, "1,1", 2, 2)) == [F(13, 9)]
 
 
 P61 = 2**61 - 1  # prime; every odd denominator below 4000 is a unit mod it
@@ -250,7 +296,8 @@ def test_dominance_forces_order_exhaustively():
             if len(s) != len(t) or not dominates(s, t):
                 continue
             for n in (3, 6):
-                assert odd_harmonic(n, s) <= odd_harmonic(n, t), (s, t, n)
+                assert (harmonic_sum(STRICT_ODD, n, s)
+                        <= harmonic_sum(STRICT_ODD, n, t)), (s, t, n)
 
 
 def test_ones_power_bound():
@@ -264,7 +311,7 @@ def test_ones_power_bound():
 def test_all_ones_chain_bound():
     for n in range(1, 15):
         for r in range(1, min(n, 6) + 1):
-            assert odd_harmonic(n, (1,) * r) <= ones_power_bound(n, r)
+            assert harmonic_sum(STRICT_ODD, n, (1,) * r) <= ones_power_bound(n, r)
 
 
 # -- composition generator -----------------------------------------------------
