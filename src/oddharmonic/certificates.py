@@ -252,7 +252,7 @@ def verify_star_noninteger(n: int, comp: CompositionLike, *,
     """
     comp = Composition.coerce(comp)
     _require_all_positive(comp)
-    STAR_ODD.validate(n, comp)
+    n = STAR_ODD.validate(n, comp)
     if n == 1:
         return Certificate(TRIVIAL_INTEGER, n, comp, rule_index=0)
     return _bertrand_certificate(STAR_ODD, n, comp, value)
@@ -271,7 +271,7 @@ def valuation_under_window(n: int, r: int, comp: CompositionLike, p: int) -> int
     _require_all_positive(comp)
     if comp.depth != r:
         raise ValueError(f"composition depth {comp.depth} != r = {r}")
-    STRICT_ODD.validate(n, comp)
+    n = STRICT_ODD.validate(n, comp)
     if not primes.is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if p <= r + 1 or p * (r + 1) < 2 * n or p * r >= 2 * n:
@@ -335,7 +335,7 @@ def verify_odd_noninteger(n: int, comp: CompositionLike, *,
     """
     comp = Composition.coerce(comp)
     _require_all_positive(comp)
-    STRICT_ODD.validate(n, comp)
+    n = STRICT_ODD.validate(n, comp)
     if n == 1:
         return Certificate(TRIVIAL_INTEGER, n, comp, rule_index=0)
     r = comp.depth

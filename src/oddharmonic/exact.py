@@ -21,9 +21,15 @@ Valuation = Union[int, float]
 
 
 def as_rational(value) -> Fraction:
-    """Coerce ints, Fractions and "num/den" strings to Fraction."""
+    """Coerce ints, Fractions and "num/den" strings to Fraction.
+
+    Floats are refused: 0.1 is the binary fraction nearest 1/10, and
+    taking it exactly would put that rounding into a value.
+    """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, float):
+        raise ValueError(f"not a rational: {value!r} is a float")
     try:
         return Fraction(value)
     except (ValueError, TypeError) as exc:

@@ -52,20 +52,41 @@ def shared_sieve(limit: int = 0) -> Sieve:
     return _shared
 
 
+# The strong probable-prime test to the prime bases 2..41 is exact below
+# this bound, the least strong pseudoprime to all of them (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+_STRONG_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_STRONG_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division against the shared sieve."""
+    """Deterministic primality: the shared sieve up to its limit, above it
+    the strong test to the prime bases 2..41, which never grows the sieve.
+
+    Raises ValueError at or above 3.317e24, where those bases are no
+    longer proven exact.
+    """
     n = int(n)
     if n < 2:
         return False
     if n <= _shared.limit:
         return _shared.is_prime(n)
-    sieve = shared_sieve(math.isqrt(n) + 1)
-    if n <= sieve.limit:
-        return sieve.is_prime(n)
-    for p in sieve.primes:
-        if p * p > n:
-            return True
-        if n % p == 0:
+    if n >= _STRONG_LIMIT:
+        raise ValueError(f"primality of {n} is decided only below {_STRONG_LIMIT}")
+    if any(n % a == 0 for a in _STRONG_BASES):  # n > 41 here
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _STRONG_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 

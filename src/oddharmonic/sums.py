@@ -8,12 +8,14 @@ the alternating exponent: its factor is (-1)**k / base(k)**s.
 
 Evaluation is one integer fold over the summation index k = 0..n-1: a
 vector of r+1 numerators over one common denominator holds the prefix
-sums of every depth, and each step multiplies it through by a power of
-base(k), so no step needs a gcd.  The state after index k-1 is the sum
-at n = k, so `harmonic_sum_prefixes` gets the sums at every n up to
-n_max from one fold and reduces each to a Fraction only when it yields
-it; `harmonic_sum` is its single value at n.  Nothing is cached: the
-state is the r+1 integers of the fold.  The brute-force enumerator is
+sums of every depth, and each step is one multiply-add per depth by
+small powers of base(k), so no step needs a gcd or a division.  Star
+sums keep their numerators rescaled by a power of base(k) so that this
+holds for them too.  The state after index k-1 is the sum at n = k, so
+`harmonic_sum_prefixes` gets the sums at every n up to n_max from one
+fold and reduces each to a Fraction only when it yields it;
+`harmonic_sum` is its single value at n.  Nothing is cached: the state
+is the r+1 integers of the fold.  The brute-force enumerator is
 kept as an independent oracle.
 """
 
@@ -23,7 +25,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement
 from typing import Iterable, Iterator, Union
 
 
@@ -122,13 +124,20 @@ class SumSpec:
     def odd(self) -> bool:
         return self.parity == "odd"
 
-    def validate(self, n: int, comp: Composition) -> None:
+    def validate(self, n: int, comp: Composition) -> int:
+        """Check n and comp for this family and return n as an int.
+
+        n must be an integer: operator.index rejects 7.5 with TypeError
+        instead of rounding it.
+        """
+        n = operator.index(n)
         if n < 1:
             raise ValueError("need n >= 1")
         if comp.depth > n:
             raise ValueError(f"depth {comp.depth} exceeds n = {n}")
         if not comp.all_positive and self.parity == "standard" and comp.depth > 1:
             raise ValueError("alternating entries need odd parity or depth 1")
+        return n
 
 
 STRICT_STANDARD = SumSpec("strict", "standard")
@@ -150,42 +159,56 @@ def harmonic_sum_prefixes(spec: SumSpec, comp: CompositionLike,
     The arguments are checked at the call: depth <= n_min <= n_max.
     """
     comp = Composition.coerce(comp)
-    spec.validate(n_min, comp)
+    n_min, n_max = spec.validate(n_min, comp), operator.index(n_max)
     if n_max < n_min:
         raise ValueError(f"need n_min <= n_max, got {n_min} > {n_max}")
-    return _fold(spec, comp, int(n_min), int(n_max))
+    return _fold(spec, comp, n_min, n_max)
 
 
 def _fold(spec: SumSpec, comp: Composition, n_min: int, n_max: int) -> Iterator[Fraction]:
-    """After index k, v[j] / v[0] is the sum over the first j exponents
-    with every index <= k; the numerators stay integers because each
-    step multiplies the whole vector by base(k)**scale.  Only the sums
-    at n >= n_min are reduced to a Fraction.
+    """After index k, v[j] / den is the sum over the first j exponents
+    with every index <= k, and no step divides.
+
+    Strict sums keep den = v[0]: each step multiplies the whole vector
+    by base(k)**max|s| and adds the lower neighbour from before index k.
+    Star sums add the lower neighbour from after index k, which carries
+    the factor 1/base(k)**|s_j|.  So that they multiply instead, their
+    numerators are kept divided by base(k)**(W - M_j), with M_j = |s_1|
+    + ... + |s_j| and W = M_r, and den = v[0] * base(k)**W.  Going from
+    the previous base b' (1 before k = 0) to b = base(k) is then
+    v[0] *= b'**W and, for j = 1..r in turn, v[j] = v[j] * b'**(W - M_j)
+    * b**M_j +- v[j-1]: integers in, integers out.  Only the sums at
+    n >= n_min are reduced to a Fraction.
     """
     r = comp.depth
     mags = comp.magnitudes()
     signed = [e < 0 for e in comp.indices]
     star, odd = spec.star, spec.odd
-    scale = comp.weight if star else max(mags)
+    if star:
+        heads = list(accumulate(mags))     # M_1..M_r
+        weight = heads[-1]                 # W
+        rests = [weight - m for m in heads]
+        prev = 1                           # b', the base before index k
+    else:
+        scale = max(mags)
     v = [1] + [0] * r
     for k in range(n_max):
         base = 2 * k + 1 if odd else k + 1
-        step = base ** scale
         flip = k & 1
         if star:  # ascending: v[j-1] already includes index k
-            v[0] *= step
+            term = v[0] = v[0] * prev ** weight
             for j in range(1, r + 1):
-                # exact: v[j-1] is now a multiple of base ** (scale minus
-                # the first j-1 magnitudes), and scale is the weight
-                term = v[j - 1] // base ** mags[j - 1]
-                v[j] = v[j] * step + (-term if flip and signed[j - 1] else term)
+                term = v[j] = (v[j] * (prev ** rests[j - 1] * base ** heads[j - 1])
+                               + (-term if flip and signed[j - 1] else term))
+            prev = base
         else:  # descending: v[j-1] still stops before index k
+            step = base ** scale
             for j in range(r, 0, -1):
                 term = v[j - 1] * base ** (scale - mags[j - 1])
                 v[j] = v[j] * step + (-term if flip and signed[j - 1] else term)
             v[0] *= step
         if k >= n_min - 1:
-            yield Fraction(v[r], v[0])
+            yield Fraction(v[r], v[0] * base ** weight if star else v[0])
 
 
 def harmonic_sum_brute(spec: SumSpec, n: int, comp: CompositionLike,
@@ -196,7 +219,7 @@ def harmonic_sum_brute(spec: SumSpec, n: int, comp: CompositionLike,
     WorkLimitExceeded when the tuple count would exceed work_limit.
     """
     comp = Composition.coerce(comp)
-    spec.validate(n, comp)
+    n = spec.validate(n, comp)
     r = comp.depth
     count = math.comb(n + r - 1, r) if spec.star else math.comb(n, r)
     if count > work_limit:

@@ -62,6 +62,16 @@ def test_star_rejects_alternating():
         verify_star_noninteger(3, (1, -1))
 
 
+def test_non_integral_n_gets_no_certificate():
+    with pytest.raises((TypeError, ValueError)):
+        verify_odd_noninteger(7.5, (1, 2))
+    with pytest.raises((TypeError, ValueError)):
+        verify_star_noninteger(7.5, (1, 2))
+    with pytest.raises((TypeError, ValueError)):
+        valuation_under_window(7.5, 2, (1, 2), 5)
+    assert verify_odd_noninteger(7, (1, 2)).n == 7
+
+
 # -- window valuations --------------------------------------------------------
 
 def test_window_valuation_is_negative_but_not_weight():

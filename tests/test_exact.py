@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from oddharmonic.exact import (
     PLUS_INFINITY,
+    as_rational,
     double_factorial,
     padic_valuation,
     pochhammer,
@@ -30,6 +31,19 @@ def test_valuation_rejects_nonprime():
         padic_valuation(F(1, 2), 6)
     with pytest.raises(ValueError):
         padic_valuation(F(1, 2), 1)
+
+
+def test_floats_are_refused():
+    # 0.1 is 3602879701896397/2**55 exactly, whose v_5 is 0, not -1
+    with pytest.raises(ValueError, match="0.1"):
+        padic_valuation(0.1, 5)
+    with pytest.raises(ValueError, match="0.5"):
+        pochhammer(0.5, 3)
+    with pytest.raises(ValueError):
+        as_rational(2.0)
+    assert padic_valuation("1/10", 5) == -1
+    assert as_rational(3) == 3 and as_rational(F(2, 7)) == F(2, 7)
+    assert pochhammer("1/2", 2) == F(3, 4)
 
 
 def test_plus_infinity_ordering():

@@ -54,6 +54,16 @@ def test_pfq_rejects_bad_specs():
     assert pfq((HALF, -2), (-7,), 1) is not None
 
 
+def test_pfq_refuses_floats():
+    with pytest.raises(ValueError):
+        pfq((0.5, -1), (THREEHALF,), 1)
+    with pytest.raises(ValueError):
+        pfq((HALF, -1), (1.5,), 1)
+    with pytest.raises(ValueError):
+        pfq((HALF, -1), (THREEHALF,), 1.0)
+    assert pfq(("1/2", -1), ("3/2",), "1") == F(2, 3)
+
+
 def _pfq_reference(upper, lower, x):
     """The series term by term from rising factorials, up to the first
     term whose upper rising factorials vanish."""

@@ -2,6 +2,7 @@
 
 import pytest
 
+from oddharmonic import primes
 from oddharmonic.primes import (
     Sieve,
     bertrand_prime,
@@ -35,8 +36,38 @@ def test_sieve_agrees_with_trial_division():
 def test_is_prime_beyond_sieve():
     assert is_prime(104729)          # 10000th prime
     assert not is_prime(104729 * 3)
+    limit = primes._shared.limit
+    assert is_prime(10**14 + 31)
+    assert not is_prime(10**14 + 33)
+    assert primes._shared.limit == limit   # the sieve does not grow to 10**7
     assert not is_prime(1)
     assert not is_prime(0)
+
+
+def test_strong_test_agrees_with_a_sieve(monkeypatch):
+    # a fresh shared sieve of the default size, so every m here is above it
+    monkeypatch.setattr(primes, "_shared", Sieve(1 << 14))
+    sieve = Sieve(200_000)
+    for m in range(16_385, 200_001):
+        assert is_prime(m) == sieve.is_prime(m), m
+    assert primes._shared.limit == 1 << 14
+
+
+def test_strong_pseudoprimes_to_small_bases_are_composite():
+    assert not is_prime(3_215_031_751)                  # 151 * 751 * 28351
+    assert not is_prime(3_825_123_056_546_413_051)      # strong to bases 2..31
+    assert not is_prime(318_665_857_834_031_151_167_461)  # strong to bases 2..37
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
+    assert not is_prime((2**31 - 1) * 1_000_000_007)
+
+
+def test_is_prime_refuses_past_the_proven_bound():
+    bound = 3_317_044_064_679_887_385_961_981  # the least strong pseudoprime to bases 2..41
+    assert not is_prime(bound - 2)
+    with pytest.raises(ValueError):
+        is_prime(bound)
+    with pytest.raises(ValueError):
+        is_prime(10**30)
 
 
 def test_bertrand_prime():

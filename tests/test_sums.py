@@ -64,6 +64,10 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         harmonic_sum(STRICT_STANDARD, 5, (1, -2))  # alternating needs odd parity
     assert harmonic_sum(STRICT_STANDARD, 5, (-2,)) is not None  # depth 1 ok
+    with pytest.raises((TypeError, ValueError)):
+        harmonic_sum(STRICT_ODD, 2.5, (1,))        # not the value at n = 2
+    with pytest.raises((TypeError, ValueError)):
+        harmonic_sum_brute(STAR_ODD, 3.0, (1,))
 
 
 # -- frozen values (checked against the enumeration oracle) ------------------
@@ -120,8 +124,13 @@ def test_work_limit():
 # -- exactness past the enumeration oracle's reach -----------------------------
 
 def _prefix_reference(spec, n, comp):
-    """The sum by a prefix recursion in plain Fractions: row[m] sums the
-    entries so far over tuples with every index below m."""
+    """The sum by a prefix recursion in plain Fractions."""
+    return _prefix_rows(spec, n, comp)[n]
+
+
+def _prefix_rows(spec, n, comp):
+    """The sums at m = 0..n by a prefix recursion in plain Fractions:
+    row[m] sums the entries so far over tuples with every index below m."""
     row = [F(1)] * (n + 1)
     for e in comp:
         new, acc = [F(0)] * (n + 1), F(0)
@@ -131,7 +140,7 @@ def _prefix_reference(spec, n, comp):
             acc += row[k + 1 if spec.star else k] * F(sign, base ** abs(e))
             new[k + 1] = acc
         row = new
-    return row[n]
+    return row
 
 
 def test_matches_prefix_reference_up_to_n_300():
@@ -153,6 +162,8 @@ PREFIX_CASES = [
     (STRICT_STANDARD, (1, 2), 4, 10),
     (STAR_STANDARD, (2, 1, 1), 3, 8),
     (STAR_STANDARD, (-1,), 1, 9),
+    (STAR_STANDARD, (-2,), 1, 30),
+    (STAR_STANDARD, (-5,), 1, 30),
     (STRICT_ODD, (1, -2, 1), 3, 9),
     (STRICT_ODD, (3,), 5, 9),
     (STRICT_ODD, (-1,), 1, 1),
@@ -181,6 +192,25 @@ def test_prefixes_match_prefix_reference():
                            for n in range(n_min, 61)], (spec, comp, n_min)
 
 
+# Star sums of weight >= 8 and depth 5-6 with two or more alternating
+# entries: each level of the star step multiplies by the previous and the
+# current base to different powers and flips its sign on its own.
+HIGH_WEIGHT_STAR = [
+    (1, -2, 1, 3, -1),
+    (-2, 1, -1, 2, 1, 1),
+    (3, -1, -1, 1, 2),
+    (1, 1, -3, 2, -1, -2),
+]
+
+
+@pytest.mark.parametrize("comp", HIGH_WEIGHT_STAR)
+def test_star_high_weight_matches_prefix_reference_up_to_n_300(comp):
+    assert sum(map(abs, comp)) >= 8 and sum(e < 0 for e in comp) >= 2
+    rows = _prefix_rows(STAR_ODD, 300, comp)
+    r = len(comp)
+    assert list(harmonic_sum_prefixes(STAR_ODD, comp, r, 300)) == rows[r:]
+
+
 def test_prefixes_validate_at_the_call():
     with pytest.raises(ValueError):
         harmonic_sum_prefixes(STRICT_ODD, (1, 1, 1), 2, 9)    # n_min below depth
@@ -190,6 +220,10 @@ def test_prefixes_validate_at_the_call():
         harmonic_sum_prefixes(STRICT_ODD, (1,), 5, 4)         # empty range
     with pytest.raises(ValueError):
         harmonic_sum_prefixes(STRICT_STANDARD, (1, -2), 2, 9)  # alternating, standard
+    with pytest.raises((TypeError, ValueError)):
+        harmonic_sum_prefixes(STAR_ODD, (1,), 1.5, 3.9)       # not n = 1..3
+    with pytest.raises((TypeError, ValueError)):
+        harmonic_sum_prefixes(STAR_ODD, (1,), 1, 3.9)
     assert list(harmonic_sum_prefixes(STAR_ODD, "1,1", 2, 2)) == [F(13, 9)]
 
 
@@ -211,7 +245,8 @@ def _sum_mod_p61(spec, n, comp):
     return row[n]
 
 
-@pytest.mark.parametrize("spec, comp", [(STRICT_ODD, (1, -2, 1)), (STAR_ODD, (2, -1))])
+@pytest.mark.parametrize("spec, comp", [(STRICT_ODD, (1, -2, 1)), (STAR_ODD, (2, -1)),
+                                        (STAR_ODD, (1, -2, 1, 3))])
 def test_n_2000_modulo_a_61_bit_prime(spec, comp):
     value = harmonic_sum(spec, 2000, comp)
     residue = value.numerator * pow(value.denominator, -1, P61) % P61
