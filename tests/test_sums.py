@@ -162,13 +162,14 @@ PREFIX_CASES = [
     (STRICT_STANDARD, (1, 2), 4, 10),
     (STAR_STANDARD, (2, 1, 1), 3, 8),
     (STAR_STANDARD, (-1,), 1, 9),
-    (STAR_STANDARD, (-2,), 1, 30),
-    (STAR_STANDARD, (-5,), 1, 30),
     (STRICT_ODD, (1, -2, 1), 3, 9),
     (STRICT_ODD, (3,), 5, 9),
     (STRICT_ODD, (-1,), 1, 1),
     (STAR_ODD, (-1, 2), 2, 8),
     (STAR_ODD, (1, 1, -1), 6, 9),
+    # star sums with a negative depth-one index, over a longer range of n
+    (STAR_STANDARD, (-2,), 1, 30),
+    (STAR_STANDARD, (-5,), 1, 30),
 ]
 
 
