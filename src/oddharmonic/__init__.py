@@ -35,6 +35,7 @@ from .hyper import (
     consecutive_product_sum,
     consecutive_product_sum_prefixes,
     consecutive_product_sum_via_hyper,
+    consecutive_product_sums,
     euler_binomial_harmonic,
     harmonic_via_hyper,
     harmonic_via_hyper_prefixes,

@@ -211,10 +211,10 @@ def _identity_rows(suite, n_max, s_max, m_max, xs, seed, count):
             sides = hyper.consecutive_product_sum_prefixes(m, n_max)
             for n, (via, direct) in enumerate(sides, start=1):
                 yield (suite, n, "", m, "", "", via, direct)
-        direct = harmonic_sum_prefixes(STRICT_ODD, (1,), 1, n_max)
-        for n, value in enumerate(direct, start=1):
-            yield ("blocks-depth1", n, "", 1, "", "",
-                   hyper.consecutive_product_sum(1, n), value)
+        direct = zip(hyper.consecutive_product_sums(1, n_max),
+                     harmonic_sum_prefixes(STRICT_ODD, (1,), 1, n_max))
+        for n, (block, value) in enumerate(direct, start=1):
+            yield ("blocks-depth1", n, "", 1, "", "", block, value)
     elif suite == "inversion":
         n_max, s_max, m_max = _or(n_max, 15), _or(s_max, 3), _or(m_max, 5)
         half, threehalf = Fraction(1, 2), Fraction(3, 2)
@@ -226,11 +226,11 @@ def _identity_rows(suite, n_max, s_max, m_max, xs, seed, count):
                     rhs = hyper.alternating_binomial_sum(n, lambda k: f[k - 1])
                     yield (suite, n, s, "", "", sign, lhs, rhs)
         for m in range(1, m_max + 1):
+            f = list(hyper.consecutive_product_sums(m, n_max))
             for n in range(1, n_max + 1):
                 lhs = hyper.pfq((1, 1 - n), (m + n,), -1)
                 rhs = (math.factorial(m - 1) * (m + n - 1)
-                       * hyper.alternating_binomial_sum(
-                           n, lambda k: hyper.consecutive_product_sum(m, k)))
+                       * hyper.alternating_binomial_sum(n, lambda k: f[k - 1]))
                 yield ("inversion-blocks", n, "", m, "", "", lhs, rhs)
         rng = random.Random(seed)
         f = [Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(8)]

@@ -10,6 +10,7 @@ the one float is `math.inf`, the valuation of zero.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Union
 
@@ -48,6 +49,7 @@ def _int_valuation(m: int, p: int) -> int:
 def padic_valuation(a, p: int) -> Valuation:
     """Exponent of the prime p in a, i.e. the n with a = p**n * q1/q2 and
     q1, q2 coprime to p.  Returns PLUS_INFINITY for a = 0."""
+    p = operator.index(p)
     if not primes.is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     a = as_rational(a)
@@ -61,10 +63,8 @@ def pochhammer(a, i: int) -> Fraction:
     if i < 0:
         raise ValueError("need i >= 0")
     a = as_rational(a)
-    result = Fraction(1)
-    for j in range(i):
-        result *= a + j
-    return result
+    p, q = a.numerator, a.denominator
+    return Fraction(math.prod(p + j * q for j in range(i)), q ** i)
 
 
 def double_factorial(n: int) -> int:

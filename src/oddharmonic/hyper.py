@@ -3,9 +3,13 @@
 A series with a nonpositive-integer upper parameter truncates at the
 first vanishing rising factorial, so every evaluation here is a finite
 sum of exact rationals.  `pfq` folds the terms in integers over one
-common denominator and reduces once at the end.  The identity helpers
-return both sides instead of a boolean so that a failing comparison is
-diagnosable.
+common denominator and reduces once at the end.  Binomial combinations
+work the same way: the values f(1), f(2), ... are kept as integer
+numerators over their lcm (grown, and the kept numerators rescaled, when
+a new denominator does not divide it), a row at n is one integer sum
+with C(n,k) built along it, and each row is reduced once.  The identity
+helpers return both sides instead of a boolean so that a failing
+comparison is diagnosable.
 
 An identity at n combines the series for k = 1..n, so checking it for
 every n up to n_max repeats the smaller series.  The `*_prefixes`
@@ -20,9 +24,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .exact import as_rational, double_factorial, pochhammer
+from .exact import as_rational, pochhammer
 
 
 class NonTerminatingSeries(ValueError):
@@ -58,39 +62,62 @@ def pfq(upper: Sequence, lower: Sequence, x) -> Fraction:
     # With a = p/q and b = u/w, the term ratio prod(a+i)/prod(b+i) * x/(i+1)
     # is prod(p+iq) prod(w) x_num / (prod(q) prod(u+iw) x_den (i+1)).  The
     # term and the sum share one integer denominator, reduced at the end.
-    num_scale = x.numerator * math.prod(b.denominator for b in lows)
-    den_scale = x.denominator * math.prod(a.denominator for a in ups)
+    uppers = [(a.numerator, a.denominator) for a in ups]
+    lowers = [(b.numerator, b.denominator) for b in lows]
+    num_scale = x.numerator * math.prod(w for _, w in lowers)
+    den_scale = x.denominator * math.prod(q for _, q in uppers)
     term = total = den = 1
     for i in range(k_max):
         step_num = num_scale
-        for a in ups:
-            step_num *= a.numerator + i * a.denominator
+        for p, q in uppers:
+            step_num *= p + i * q
         step_den = den_scale * (i + 1)
-        for b in lows:
-            step_den *= b.numerator + i * b.denominator
+        for u, w in lowers:
+            step_den *= u + i * w
         term *= step_num
         den *= step_den
         total = total * step_den + term
     return Fraction(total, den)
 
 
+def _append_over_lcm(nums: list[int], den: int, value) -> int:
+    """Append value to the numerators kept over den and return the new
+    common denominator, the lcm of den and value's denominator; the kept
+    numerators are rescaled when it grows."""
+    value = as_rational(value)
+    scale = value.denominator // math.gcd(den, value.denominator)
+    if scale != 1:
+        den *= scale
+        nums[:] = [a * scale for a in nums]
+    nums.append(value.numerator * (den // value.denominator))
+    return den
+
+
+def _binomial_row(nums: list[int], den: int) -> Fraction:
+    """sum_{k=1}^{n} (-1)^(k-1) C(n,k) nums[k-1] / den, n = len(nums)."""
+    n = len(nums)
+    total, c = 0, 1
+    for k, a in enumerate(nums, start=1):
+        c = c * (n - k + 1) // k
+        total += c * a if k & 1 else -c * a
+    return Fraction(total, den)
+
+
 def alternating_binomial_sum(n: int, f: Callable[[int], Fraction]) -> Fraction:
     """sum_{k=1}^{n} (-1)^(k-1) * C(n,k) * f(k)."""
-    total = Fraction(0)
-    sign = 1
+    nums, den = [], 1
     for k in range(1, n + 1):
-        total += sign * math.comb(n, k) * f(k)
-        sign = -sign
-    return total
+        den = _append_over_lcm(nums, den, f(k))
+    return _binomial_row(nums, den)
 
 
-def _binomial_prefixes(n_max: int, f: Callable[[int], Fraction]) -> Iterator[Fraction]:
-    """alternating_binomial_sum(n, f) for n = 1..n_max, with each f(k)
-    evaluated once and kept for the larger n."""
-    values = []
-    for n in range(1, n_max + 1):
-        values.append(f(n))
-        yield alternating_binomial_sum(n, lambda k: values[k - 1])
+def _binomial_prefixes(values: Iterable) -> Iterator[Fraction]:
+    """alternating_binomial_sum(n, f) for n = 1, 2, ... with f(k) the k-th
+    of values, each value taken once and kept for the larger n."""
+    nums, den = [], 1
+    for value in values:
+        den = _append_over_lcm(nums, den, value)
+        yield _binomial_row(nums, den)
 
 
 def _power_sum_parts(s: int, x, sign: int):
@@ -117,7 +144,8 @@ def odd_power_sum_identity_prefixes(n_max: int, s: int, x,
     """odd_power_sum_identity(n, s, x, sign) for n = 1..n_max, lazily,
     with each series evaluated once."""
     term, series = _power_sum_parts(s, x, sign)
-    return zip(accumulate(map(term, range(n_max))), _binomial_prefixes(n_max, series))
+    return zip(accumulate(map(term, range(n_max))),
+               _binomial_prefixes(map(series, range(1, n_max + 1))))
 
 
 def _harmonic_series(s: int, sign: int, parity: str) -> Callable[[int], Fraction]:
@@ -143,7 +171,7 @@ def harmonic_via_hyper_prefixes(n_max: int, s: int, sign: int = 1, *,
                                 parity: str) -> Iterator[Fraction]:
     """harmonic_via_hyper(n, s, sign, parity=parity) for n = 1..n_max,
     lazily, with each series evaluated once."""
-    return _binomial_prefixes(n_max, _harmonic_series(s, sign, parity))
+    return _binomial_prefixes(map(_harmonic_series(s, sign, parity), range(1, n_max + 1)))
 
 
 def odd_harmonic_closed_form(n: int) -> Fraction:
@@ -151,11 +179,13 @@ def odd_harmonic_closed_form(n: int) -> Fraction:
     of the odd harmonic number."""
     if n < 1:
         raise ValueError("need n >= 1")
-    total = Fraction(0)
-    for k in range(1, n + 1):
-        total += Fraction((-2) ** (k - 1) * math.comb(n, k) * math.factorial(k - 1),
-                          double_factorial(2 * k - 1))
-    return total
+    # Over the common denominator (2n-1)!!, term k has the factor
+    # (2n-1)!!/(2k-1)!! = (2k+1)(2k+3)...(2n-1), built from k = n down.
+    total, tail = 0, 1
+    for k in range(n, 0, -1):
+        total += (-2) ** (k - 1) * math.comb(n, k) * math.factorial(k - 1) * tail
+        tail *= 2 * k - 1
+    return Fraction(total, tail)
 
 
 def chu_vandermonde(n: int, b, c) -> tuple[Fraction, Fraction]:
@@ -187,6 +217,14 @@ def consecutive_product_sum(m: int, n: int) -> Fraction:
     return sum((_block_term(m, k) for k in range(n)), Fraction(0))
 
 
+def consecutive_product_sums(m: int, n_max: int) -> Iterator[Fraction]:
+    """consecutive_product_sum(m, n) for n = 1..n_max, lazily, as one
+    running sum."""
+    if m < 1:
+        raise ValueError("need m >= 1")
+    return accumulate(_block_term(m, k) for k in range(n_max))
+
+
 def consecutive_product_sum_via_hyper(m: int, n: int) -> Fraction:
     """The same block sum via 2F1(1, 1-k; m+k; -1) values (beta-function
     reduction of the iterated integral)."""
@@ -198,10 +236,8 @@ def consecutive_product_sum_via_hyper(m: int, n: int) -> Fraction:
 def consecutive_product_sum_prefixes(m: int, n_max: int) -> Iterator[tuple[Fraction, Fraction]]:
     """(consecutive_product_sum_via_hyper(m, n), consecutive_product_sum(m, n))
     for n = 1..n_max, lazily, with each series evaluated once."""
-    if m < 1:
-        raise ValueError("need m >= 1")
-    return zip(_binomial_prefixes(n_max, _block_series(m)),
-               accumulate(_block_term(m, k) for k in range(n_max)))
+    direct = consecutive_product_sums(m, n_max)
+    return zip(_binomial_prefixes(map(_block_series(m), range(1, n_max + 1))), direct)
 
 
 def euler_binomial_harmonic(n: int) -> Fraction:
@@ -212,25 +248,21 @@ def euler_binomial_harmonic(n: int) -> Fraction:
 def binomial_inversion(values: Sequence) -> list[Fraction]:
     """g(m) = sum_{k=1}^{m} (-1)^(m-k) C(m,k) f(k) for a 1-indexed list f.
 
-    Inverse of `binomial_transform`.
+    Inverse of `binomial_transform`.  g(m) is (-1)^(m-1) times the
+    alternating binomial sum of f at m.
     """
     f = [as_rational(v) for v in values]
     if not f:
         raise ValueError("need a nonempty sequence")
-    out = []
-    for m in range(1, len(f) + 1):
-        total = Fraction(0)
-        for k in range(1, m + 1):
-            term = math.comb(m, k) * f[k - 1]
-            total += term if (m - k) % 2 == 0 else -term
-        out.append(total)
-    return out
+    return [row if m % 2 else -row for m, row in enumerate(_binomial_prefixes(f), start=1)]
 
 
 def binomial_transform(values: Sequence) -> list[Fraction]:
-    """f(m) = sum_{k=1}^{m} C(m,k) g(k) for a 1-indexed list g."""
+    """f(m) = sum_{k=1}^{m} C(m,k) g(k) for a 1-indexed list g.
+
+    f(m) is the alternating binomial sum at m of k -> (-1)^(k-1) g(k).
+    """
     g = [as_rational(v) for v in values]
     if not g:
         raise ValueError("need a nonempty sequence")
-    return [sum((math.comb(m, k) * g[k - 1] for k in range(1, m + 1)), Fraction(0))
-            for m in range(1, len(g) + 1)]
+    return list(_binomial_prefixes(v if k % 2 else -v for k, v in enumerate(g, start=1)))

@@ -8,6 +8,7 @@ certificate applies, and boundary cases matter.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -64,9 +65,10 @@ def is_prime(n: int) -> bool:
     the strong test to the prime bases 2..41, which never grows the sieve.
 
     Raises ValueError at or above 3.317e24, where those bases are no
-    longer proven exact.
+    longer proven exact, and TypeError for a non-integer n such as 7.5,
+    which is refused rather than truncated.
     """
-    n = int(n)
+    n = operator.index(n)
     if n < 2:
         return False
     if n <= _shared.limit:

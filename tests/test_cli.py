@@ -245,6 +245,30 @@ def test_identity_check_suites_small(capsys):
                 (str(n), str(s), x) for n in range(1, 8) for s in (1, 2, 3) for x in xs}
 
 
+# SHA-256 of the stdout of `identity-check all`, recorded when every
+# binomial combination was summed one Fraction at a time; 2,334 lines
+# with the header.  The seed moves only the chu and inversion-roundtrip rows.
+@pytest.mark.parametrize("seed, digest", [
+    ("0", "0a29f4a2c80cec29019959a89e9455f1dd87fb2dad66235208d718bc230102f3"),
+    ("41", "cf6c926188f9b9c7dc281d238af2783ca1c14e9a711df69a436c0afc85ff6b99"),
+])
+def test_identity_output_digest(capsys, seed, digest):
+    code, out, err = run(capsys, "identity-check", "all", "--seed", seed)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 2334
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_identity_check_evaluates_each_series_once(capsys, monkeypatch):
+    # one pfq call per (group, n) of the suites, none for the direct sides
+    calls = []
+    pfq = hyper.pfq
+    monkeypatch.setattr(hyper, "pfq", lambda *args: calls.append(args) or pfq(*args))
+    code, _, _ = run(capsys, "identity-check", "all", "--seed", "0")
+    assert code == 0
+    assert len(calls) == 2195
+
+
 def test_identity_check_rejects_counts_below_one(capsys):
     for flag in ("--n-max", "--s-max", "--m-max", "--count"):
         for value in ("0", "-1"):

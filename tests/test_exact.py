@@ -44,6 +44,13 @@ def test_floats_are_refused():
     assert padic_valuation("1/10", 5) == -1
     assert as_rational(3) == 3 and as_rational(F(2, 7)) == F(2, 7)
     assert pochhammer("1/2", 2) == F(3, 4)
+    # a float prime used to be truncated by is_prime and then used as is,
+    # so v_7.5(1/49) came out 0 instead of v_7 = -2
+    with pytest.raises(TypeError):
+        padic_valuation(F(1, 49), 7.5)
+    with pytest.raises(TypeError):
+        padic_valuation(F(1, 49), F(7))
+    assert padic_valuation(F(1, 49), 7) == -2
 
 
 def test_plus_infinity_ordering():
@@ -74,6 +81,25 @@ def test_pochhammer_examples():
     assert pochhammer(F(7, 3), 0) == 1
     assert pochhammer(F(1, 2), 2) == F(3, 4)
     assert pochhammer(F(-2), 4) == 0
+
+
+def _pochhammer_reference(a, i):
+    result = F(1)
+    for j in range(i):
+        result *= a + j
+    return result
+
+
+@pytest.mark.parametrize("a", [
+    F(0), F(1), F(-3), F(-1),            # integer factors that reach zero
+    F(-7, 2), F(-5, 3), F(-11, 4),       # negative fractions whose factors change sign
+    F(2, 9), F(13, 6), F(-1, 1000),
+])
+def test_pochhammer_matches_reference(a):
+    for i in range(0, 13):
+        assert pochhammer(a, i) == _pochhammer_reference(a, i), (a, i)
+    with pytest.raises(ValueError):
+        pochhammer(a, -1)
 
 
 @given(rationals, st.integers(0, 8))

@@ -17,6 +17,7 @@ from oddharmonic.hyper import (
     consecutive_product_sum,
     consecutive_product_sum_prefixes,
     consecutive_product_sum_via_hyper,
+    consecutive_product_sums,
     euler_binomial_harmonic,
     harmonic_via_hyper,
     harmonic_via_hyper_prefixes,
@@ -244,6 +245,100 @@ def test_prefixes_match_per_n_functions():
         harmonic_via_hyper_prefixes(3, 1, 1, parity="even")
     with pytest.raises(ValueError):
         consecutive_product_sum_prefixes(0, 3)
+    with pytest.raises(ValueError):
+        consecutive_product_sums(0, 3)
+
+
+def _alternating_reference(n, f):
+    """sum_{k=1}^{n} (-1)^(k-1) C(n,k) f(k), one Fraction term at a time."""
+    return sum(((-1) ** (k - 1) * math.comb(n, k) * F(f(k)) for k in range(1, n + 1)), F(0))
+
+
+def test_prefixes_match_fraction_references():
+    for s in (1, 2):
+        for x in (F(0), F(-2, 3), F(5, 4)):
+            for sign in (1, -1):
+                y = sign * x * x
+                rows = list(odd_power_sum_identity_prefixes(7, s, x, sign))
+                assert rows == [
+                    (sum((y ** k / (2 * k + 1) ** s for k in range(n)), F(0)),
+                     _alternating_reference(n, lambda k: _pfq_reference(
+                         (HALF,) * s + (1 - k,), (THREEHALF,) * s, y)))
+                    for n in range(1, 8)], (s, x, sign)
+        for sign in (1, -1):
+            for parity, a, den in (("odd", HALF, lambda j: 2 * j + 1),
+                                   ("standard", F(1), lambda j: j + 1)):
+                values = list(harmonic_via_hyper_prefixes(8, s, sign, parity=parity))
+                assert values == [_alternating_reference(n, lambda k: _pfq_reference(
+                    (a,) * s + (1 - k,), (a + 1,) * s, sign)) for n in range(1, 9)]
+                assert values == [sum((F(sign ** j, den(j) ** s) for j in range(n)), F(0))
+                                  for n in range(1, 9)], (s, sign, parity)
+    for m in (1, 2, 4):
+        direct = [sum((F(1, math.prod(range(2 * k + 1, 2 * k + m + 1))) for k in range(n)),
+                      F(0)) for n in range(1, 9)]
+        assert list(consecutive_product_sums(m, 8)) == direct
+        via = [_alternating_reference(n, lambda k: _pfq_reference(
+            (1, 1 - k), (m + k,), -1) / (math.factorial(m - 1) * (m + k - 1)))
+            for n in range(1, 9)]
+        assert list(consecutive_product_sum_prefixes(m, 8)) == list(zip(via, direct))
+
+
+# -- binomial sums over one common denominator -------------------------------------------
+
+def _mixed_sequence(rng, length):
+    """Zeros, ints and fractions of both signs; the denominators are
+    coprime, share factors or divide each other, so the common
+    denominator grows at random positions and sometimes stays put."""
+    out = []
+    for _ in range(length):
+        kind = rng.randrange(5)
+        if kind == 0:
+            out.append(0)
+        elif kind == 1:
+            out.append(rng.randint(-40, 40))
+        else:
+            out.append(F(rng.randint(-99, 99), rng.choice((2, 3, 5, 7, 9, 11, 13, 35, 64, 1001))))
+    return out
+
+
+# each denominator is new to the lcm, after values that must be rescaled
+GROWING = [F(1, 2), F(-1, 3), 0, 5, F(4, 7), F(-2, 9), -3, F(1, 4), F(5, 11), F(-1, 1)]
+
+
+def test_alternating_binomial_sum_matches_reference():
+    rng = random.Random(20261018)
+    sequences = [GROWING, [0] * 6, [F(1, 6)] * 5, [-7]]
+    sequences += [_mixed_sequence(rng, rng.randint(1, 14)) for _ in range(120)]
+    for values in sequences:
+        f = lambda k: values[k - 1]  # noqa: E731
+        for n in range(0, len(values) + 1):
+            assert alternating_binomial_sum(n, f) == _alternating_reference(n, f), (values, n)
+
+
+def test_inversion_and_transform_match_reference():
+    rng = random.Random(4091)
+    sequences = [GROWING] + [_mixed_sequence(rng, rng.randint(1, 14)) for _ in range(120)]
+    for values in sequences:
+        f = [F(v) for v in values]
+        size = range(1, len(f) + 1)
+        assert binomial_inversion(values) == [
+            sum(((-1) ** (m - k) * math.comb(m, k) * f[k - 1] for k in range(1, m + 1)), F(0))
+            for m in size], values
+        assert binomial_transform(values) == [
+            sum((math.comb(m, k) * f[k - 1] for k in range(1, m + 1)), F(0))
+            for m in size], values
+
+
+def test_binomial_sums_refuse_floats():
+    with pytest.raises(ValueError, match="float"):
+        alternating_binomial_sum(3, lambda k: 0.5)
+    with pytest.raises(ValueError, match="float"):
+        binomial_inversion([1, 0.5])
+    with pytest.raises(ValueError, match="float"):
+        binomial_transform([F(1, 2), 2.0])
+    with pytest.raises(ValueError):
+        binomial_transform([])
+    assert alternating_binomial_sum(2, lambda k: "1/3") == F(1, 3)
 
 
 # -- binomial inversion ----------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Sieve correctness and the window-prime machinery."""
 
+from fractions import Fraction
+
 import pytest
 
 from oddharmonic import primes
@@ -68,6 +70,14 @@ def test_is_prime_refuses_past_the_proven_bound():
         is_prime(bound)
     with pytest.raises(ValueError):
         is_prime(10**30)
+
+
+def test_is_prime_refuses_non_integers():
+    # int(7.5) is 7, a prime; a float or Fraction is refused, not truncated
+    for n in (7.5, 7.0, Fraction(15, 2), "7"):
+        with pytest.raises(TypeError):
+            is_prime(n)
+    assert is_prime(7)
 
 
 def test_bertrand_prime():
