@@ -301,7 +301,8 @@ def _mixed_sequence(rng, length):
     return out
 
 
-# each denominator is new to the lcm, after values that must be rescaled
+# the lcm grows at -1/3, 4/7, -2/9, 1/4 and 5/11, each time after kept values
+# that must be rescaled
 GROWING = [F(1, 2), F(-1, 3), 0, 5, F(4, 7), F(-2, 9), -3, F(1, 4), F(5, 11), F(-1, 1)]
 
 
