@@ -10,7 +10,6 @@ sums.  The `oddharmonic` console script exposes all of it.
 from .certificates import (
     BoundCheck,
     Certificate,
-    TailCoefficients,
     decimal_bound_checks,
     depth_threshold_holds,
     leading_exponent_bound,

@@ -32,9 +32,11 @@ may repeat, the all-equal tuple contributes the unique minimal term
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import starmap
 
 from . import primes
 from .exact import padic_valuation
@@ -44,6 +46,7 @@ from .sums import (
     STRICT_ODD,
     STAR_ODD,
     SumSpec,
+    _fold,
     dominates,
     harmonic_sum,
     ones_power_bound,
@@ -118,42 +121,25 @@ class Certificate:
         return doc
 
 
-@dataclass(frozen=True)
-class TailCoefficients:
-    """c[k] = sum over k < k_2 < ... < k_r <= n-1 of the tail factors,
-    so that the full sum is sum over k of c[k] / (2k+1)**s_1."""
-
-    n: int
-    tail: tuple[int, ...]
-    values: tuple[Fraction, ...]
-
-
-def tail_coefficients(n: int, tail: CompositionLike) -> TailCoefficients:
-    """Exact tail coefficients c[0..n-r] for an all-positive tail s_2..s_r."""
+def _tail_pairs(n: int, tail: CompositionLike) -> list[tuple[int, int]]:
+    """c[k] = sum over k < k_2 < ... < k_r <= n-1 of the tail factors, so
+    that the full sum is sum over k of c[k] / (2k+1)**s_1, as unreduced
+    pairs for k = 0..n-r: c[k] is the strict odd sum of the reversed tail
+    over n-1, n-2, ..., k+1, so one fold from k = n-1 down gives them all.
+    """
     tail = Composition.coerce(tail)
     if not tail.all_positive:
         raise ValueError("tail must be all-positive")
     r = tail.depth + 1
     if not 2 <= r <= n:
         raise ValueError(f"need depth 2 <= {r} <= n = {n}")
-    t = tail.indices
-    suffix = [Fraction(1)] * (n + 1)  # empty-tail coefficients
-    for j in reversed(range(len(t))):
-        nxt = [Fraction(0)] * (n + 1)
-        acc = Fraction(0)
-        for k in reversed(range(n)):
-            acc += Fraction(1, (2 * k + 1) ** t[j]) * suffix[k + 1]
-            nxt[k] = acc
-        suffix = nxt
-    values = tuple(suffix[k + 1] for k in range(n - r + 1))
-    return TailCoefficients(n=n, tail=t, values=values)
+    pairs = _fold(STRICT_ODD, Composition(tail.indices[::-1]), range(n - 1, 0, -1), r - 2)
+    return list(pairs)[::-1]
 
 
-def _finite_valuation(value: Fraction, p: int) -> int:
-    v = padic_valuation(value, p)
-    if not isinstance(v, int):
-        raise RuntimeError("unexpected zero coefficient")
-    return v
+def tail_coefficients(n: int, tail: CompositionLike) -> tuple[Fraction, ...]:
+    """Exact tail coefficients c[0..n-r] for an all-positive tail s_2..s_r."""
+    return tuple(starmap(Fraction, _tail_pairs(n, tail)))
 
 
 def leading_exponent_bound(n: int, tail: CompositionLike) -> int:
@@ -163,7 +149,8 @@ def leading_exponent_bound(n: int, tail: CompositionLike) -> int:
     odd denominator of position >= (p-1)/2, so the p-part of the term at
     p is isolated once the first exponent clears the coefficient
     valuations.  N = max(v, v - min over other coefficients) where v is
-    the valuation of the coefficient at position (p-1)/2.
+    the valuation of the coefficient at position (p-1)/2.  Each valuation
+    is taken on the unreduced pair, numerator minus denominator.
     """
     tail = Composition.coerce(tail)
     r = tail.depth + 1
@@ -172,18 +159,20 @@ def leading_exponent_bound(n: int, tail: CompositionLike) -> int:
     p = primes.largest_prime_in(n - r + 1, 2 * n - 2 * r + 2)
     if p is None:  # impossible: Bertrand on (n-r+1, 2(n-r+1))
         raise RuntimeError(f"no prime in ({n - r + 1}, {2 * n - 2 * r + 2})")
-    coeffs = tail_coefficients(n, tail).values
-    ip = (p - 1) // 2
-    v_ref = _finite_valuation(coeffs[ip], p)
-    others = [_finite_valuation(c, p) for k, c in enumerate(coeffs) if k != ip]
-    return max(v_ref, v_ref - min(others))
+    vals = []
+    for num, den in _tail_pairs(n, tail):
+        if num == 0:
+            raise RuntimeError("unexpected zero coefficient")
+        vals.append(padic_valuation(num, p) - padic_valuation(den, p))
+    v_ref = vals.pop((p - 1) // 2)
+    return max(v_ref, v_ref - min(vals))
 
 
 # ceil(e * 10**36) / 10**36: an upper bound on e, good to 36 decimals.
 _E_NUM, _E_DEN = 2718281828459045235360287471352662498, 10**36
 
 
-@lru_cache(maxsize=4096)  # the cascade asks once per case; sweeps repeat (n, r)
+@lru_cache(maxsize=4096, typed=True)  # typed: 7.0 must not hit the key 7
 def depth_threshold_holds(n: int, r: int) -> bool:
     """Is r >= e * (log(2n-1)/2 + 1), certainly?
 
@@ -192,8 +181,9 @@ def depth_threshold_holds(n: int, r: int) -> bool:
     of exp(x), a sum of positive terms, is a certain lower bound: True
     as soon as one reaches 2n-1.  Once the remaining terms cannot reach
     it the answer is False, which abstains and lets the cascade continue.
-    Only integers are used.
+    Only integers are used; a non-integer n or r raises TypeError.
     """
+    n, r = operator.index(n), operator.index(r)
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
     target = 2 * n - 1

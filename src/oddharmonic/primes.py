@@ -18,7 +18,7 @@ class Sieve:
     """Eratosthenes table for 2..limit plus a sorted list of primes."""
 
     def __init__(self, limit: int):
-        limit = max(int(limit), 3)
+        limit = max(operator.index(limit), 3)
         flags = bytearray(b"\x01") * (limit + 1)
         flags[0:2] = b"\x00\x00"
         for p in range(2, math.isqrt(limit) + 1):
@@ -94,7 +94,9 @@ def is_prime(n: int) -> bool:
 
 
 def primes_between(lo: int, hi: int) -> list[int]:
-    """Primes in the closed interval [lo, hi]."""
+    """Primes in the closed interval [lo, hi]; every window query comes
+    here, so a bound such as 7.5 is refused (TypeError), not truncated."""
+    lo, hi = operator.index(lo), operator.index(hi)
     if hi < 2 or hi < lo:
         return []
     return shared_sieve(hi).primes_in(lo, hi)

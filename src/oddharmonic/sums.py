@@ -6,17 +6,16 @@ denominators 2k+1, positions k = 0..n-1), and a composition of exponents.
 Composition entries are nonzero integers; a negative entry -s stands for
 the alternating exponent: its factor is (-1)**k / base(k)**s.
 
-Evaluation is one integer fold over the summation index k = 0..n-1: a
-vector of r+1 numerators over one common denominator holds the prefix
-sums of every depth, and each step is one multiply-add per depth by
-small powers of base(k), so no step needs a gcd or a division.  Star
-sums keep their numerators rescaled by a power of base(k) so that this
-holds for them too.  The state after index k-1 is the sum at n = k, so
-`harmonic_sum_prefixes` gets the sums at every n up to n_max from one
-fold and reduces each to a Fraction only when it yields it;
-`harmonic_sum` is its single value at n.  Nothing is cached: the state
-is the r+1 integers of the fold.  The brute-force enumerator is
-kept as an independent oracle.
+Evaluation is one integer fold over the indices in the order its caller
+gives: r+1 numerators over one common denominator hold the sums of every
+depth, each step is one multiply-add per depth by small powers of
+base(k) (star sums keep their numerators rescaled by a power of base(k)
+for this), so no step needs a gcd or a division, and each state comes
+out as an unreduced integer pair.  Folded over k = 0..n-1, the state
+after index k-1 is the sum at n = k: `harmonic_sum_prefixes` reduces
+those at n_min..n_max to Fractions and `harmonic_sum` is its value at
+n.  Rule 5 of the certificates folds a reversed tail from k = n-1 down.
+Nothing is cached.  The brute-force enumerator is an independent oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement, starmap
 from typing import Iterable, Iterator, Union
 
 
@@ -162,12 +161,15 @@ def harmonic_sum_prefixes(spec: SumSpec, comp: CompositionLike,
     n_min, n_max = spec.validate(n_min, comp), operator.index(n_max)
     if n_max < n_min:
         raise ValueError(f"need n_min <= n_max, got {n_min} > {n_max}")
-    return _fold(spec, comp, n_min, n_max)
+    return starmap(Fraction, _fold(spec, comp, range(n_max), n_min - 1))
 
 
-def _fold(spec: SumSpec, comp: Composition, n_min: int, n_max: int) -> Iterator[Fraction]:
-    """After index k, v[j] / den is the sum over the first j exponents
-    with every index <= k, and no step divides.
+def _fold(spec: SumSpec, comp: Composition, indices: Iterable[int],
+          skip: int) -> Iterator[tuple[int, int]]:
+    """Fold comp over the summation indices in the order given: after
+    index k, v[j] / den is the sum over the first j exponents with every
+    index among those folded so far, the earlier ones taking the earlier
+    exponents, and no step divides.
 
     Strict sums keep den = v[0]: each step multiplies the whole vector
     by base(k)**max|s| and adds the lower neighbour from before index k.
@@ -175,10 +177,10 @@ def _fold(spec: SumSpec, comp: Composition, n_min: int, n_max: int) -> Iterator[
     the factor 1/base(k)**|s_j|.  So that they multiply instead, their
     numerators are kept divided by base(k)**(W - M_j), with M_j = |s_1|
     + ... + |s_j| and W = M_r, and den = v[0] * base(k)**W.  Going from
-    the previous base b' (1 before k = 0) to b = base(k) is then
+    the previous base b' (1 before the first index) to b = base(k) is then
     v[0] *= b'**W and, for j = 1..r in turn, v[j] = v[j] * b'**(W - M_j)
-    * b**M_j +- v[j-1]: integers in, integers out.  Only the sums at
-    n >= n_min are reduced to a Fraction.
+    * b**M_j +- v[j-1]: integers in, integers out.  The state after each
+    index past the first `skip` is yielded as (v[r], den), unreduced.
     """
     r = comp.depth
     mags = comp.magnitudes()
@@ -192,7 +194,7 @@ def _fold(spec: SumSpec, comp: Composition, n_min: int, n_max: int) -> Iterator[
     else:
         scale = max(mags)
     v = [1] + [0] * r
-    for k in range(n_max):
+    for i, k in enumerate(indices):
         base = 2 * k + 1 if odd else k + 1
         flip = k & 1
         if star:  # ascending: v[j-1] already includes index k
@@ -207,8 +209,8 @@ def _fold(spec: SumSpec, comp: Composition, n_min: int, n_max: int) -> Iterator[
                 term = v[j - 1] * base ** (scale - mags[j - 1])
                 v[j] = v[j] * step + (-term if flip and signed[j - 1] else term)
             v[0] *= step
-        if k >= n_min - 1:
-            yield Fraction(v[r], v[0] * base ** weight if star else v[0])
+        if i >= skip:
+            yield v[r], v[0] * base ** weight if star else v[0]
 
 
 def harmonic_sum_brute(spec: SumSpec, n: int, comp: CompositionLike,

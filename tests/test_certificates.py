@@ -181,12 +181,10 @@ def _tail_coeff_brute(n, tail, k1):
 
 
 def test_tail_coefficients_examples():
-    tc = tail_coefficients(3, (1,))
-    assert tc.values == (F(8, 15), F(1, 5))
-    tc = tail_coefficients(3, (2,))
-    assert tc.values == (F(34, 225), F(1, 25))
-    tc = tail_coefficients(2, (1,))     # depth equals n: single coefficient
-    assert tc.values == (F(1, 3),)
+    assert tail_coefficients(3, (1,)) == (F(8, 15), F(1, 5))
+    assert tail_coefficients(3, (2,)) == (F(34, 225), F(1, 25))
+    # depth equals n: single coefficient
+    assert tail_coefficients(2, (1,)) == (F(1, 3),)
 
 
 def test_tail_coefficients_against_bruteforce():
@@ -195,8 +193,8 @@ def test_tail_coefficients_against_bruteforce():
             if len(tail) + 1 > n:
                 continue
             tc = tail_coefficients(n, tail)
-            assert len(tc.values) == n - len(tail)
-            for k1, c in enumerate(tc.values):
+            assert len(tc) == n - len(tail)
+            for k1, c in enumerate(tc):
                 assert c == _tail_coeff_brute(n, tail, k1)
                 assert c > 0
 
@@ -206,7 +204,7 @@ def test_tail_coefficients_recompose_the_sum():
         for comp in ((1, 2), (2, 1, 1), (3, 1)):
             tc = tail_coefficients(n, comp[1:])
             total = sum(
-                (c / F((2 * k + 1) ** comp[0]) for k, c in enumerate(tc.values)),
+                (c / F((2 * k + 1) ** comp[0]) for k, c in enumerate(tc)),
                 F(0),
             )
             assert total == harmonic_sum(STRICT_ODD, n, comp)
@@ -222,6 +220,22 @@ def test_leading_exponent_bound_range_checks():
         leading_exponent_bound(2, (1,))      # needs depth < n
     with pytest.raises(ValueError):
         leading_exponent_bound(5, (1, -1))
+
+
+def test_leading_exponent_bound_matches_reduced_valuations():
+    # the bound takes v_p on unreduced (numerator, denominator) pairs; a
+    # reference on the reduced brute-force coefficients must agree
+    from oddharmonic.primes import largest_prime_in
+    for n in range(3, 15):
+        for tail in compositions(4):
+            r = len(tail) + 1
+            if r >= n:
+                continue
+            p = largest_prime_in(n - r + 1, 2 * n - 2 * r + 2)
+            vals = [padic_valuation(_tail_coeff_brute(n, tail, k1), p)
+                    for k1 in range(n - r + 1)]
+            v_ref = vals.pop((p - 1) // 2)
+            assert leading_exponent_bound(n, tail) == max(v_ref, v_ref - min(vals)), (n, tail)
 
 
 def test_large_first_exponent_forces_noninteger():

@@ -144,6 +144,11 @@ EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
      "3f8b7a945eeabdfd2379df7505a6cbadc6dc47d8724af7bd63e2da139016f6f6", 75),
     ("--star", ("--n-min", "-3", "--n-max", "4", "--weight-max", "5"),
      "287fe443c7e947c4b5a5fef5128e0e420fbc3459d5b9f0aeb1a487bbdf643305", 75),
+    # the benchmark's sweep grid; the strict one has 127 LargeS1Bound lines
+    ("--strict", ("--n-max", "40", "--weight-max", "8"),
+     "6bb292a0cc626b4e5314c134444627d6280ca433a3fbcdf2835bf0485d51b232", 9423),
+    ("--star", ("--n-max", "40", "--weight-max", "8"),
+     "ee2b3dceeb819c64cac75ba74f8df378bc00f2cecf45e0480e9acb8450b6ae25", 9423),
 ])
 def test_sweep_output_digest(capsys, family, flags, digest, lines):
     code, out, err = run(capsys, "sweep", "--n-max", "12", "--weight-max", "6",

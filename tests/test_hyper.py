@@ -66,16 +66,17 @@ def test_pfq_refuses_floats():
 
 
 def _pfq_reference(upper, lower, x):
-    """The series term by term from rising factorials, up to the first
-    term whose upper rising factorials vanish."""
-    total, i = F(0), 0
-    while True:
+    """The series term by term from rising factorials, up to index -a
+    for the largest nonpositive-integer upper parameter a; the upper
+    rising factorials must vanish at the next index."""
+    last = min(-int(a) for a in upper if F(a).denominator == 1 and a <= 0)
+    total = F(0)
+    for i in range(last + 1):
         num = math.prod(pochhammer(a, i) for a in upper)
-        if num == 0:
-            return total
         den = math.prod(pochhammer(b, i) for b in lower)
         total += num / den * F(x) ** i / math.factorial(i)
-        i += 1
+    assert math.prod(pochhammer(a, last + 1) for a in upper) == 0
+    return total
 
 
 @pytest.mark.parametrize("upper, lower, x", [

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from oddharmonic import primes
+from oddharmonic.certificates import depth_threshold_holds
 from oddharmonic.primes import (
     Sieve,
     bertrand_prime,
@@ -78,6 +79,16 @@ def test_is_prime_refuses_non_integers():
         with pytest.raises(TypeError):
             is_prime(n)
     assert is_prime(7)
+    # the window queries and the sieve refuse them the same way
+    for call in (lambda: bertrand_prime(7.5), lambda: largest_prime_in(2.5, 10),
+                 lambda: window_prime(12.5, 2), lambda: window_covers(7.5, 2),
+                 lambda: depth_threshold_holds(7.5, 2), lambda: depth_threshold_holds(7, 2.0),
+                 lambda: Sieve(7.5)):
+        with pytest.raises(TypeError):
+            call()
+    assert not depth_threshold_holds(7, 2)  # now cached under the key (7, 2)
+    with pytest.raises(TypeError):
+        depth_threshold_holds(7.0, 2)
 
 
 def test_bertrand_prime():
