@@ -23,6 +23,7 @@ from .exact import (
     Valuation,
     as_rational,
     double_factorial,
+    int_valuation,
     padic_valuation,
     pochhammer,
 )
@@ -68,6 +69,7 @@ from .sums import (
     harmonic_sum,
     harmonic_sum_brute,
     harmonic_sum_prefixes,
+    negative_valuation,
     ones_power_bound,
 )
 

@@ -13,6 +13,9 @@ forces valuation -weight.  The strict family runs a fixed cascade:
   6. fallback             -> DirectNonInteger (exact denominator > 1)
 
 Ties resolve to the earliest rule, so certificates are reproducible.
+Rules 1 and 3 fold the sum modulo a power of their prime, which decides
+the valuation exactly without the value (`sums.negative_valuation`); a
+caller that already holds the value has it read off that instead.
 Whenever the exact value is cheap enough to recompute, the engine checks
 non-integrality directly for the bound rules (2, 4 and 5) as well.
 
@@ -24,10 +27,10 @@ equal-valuation terms can cancel modulo p and push the valuation all the
 way to zero or beyond (v_23 at n=26, composition (1,1), is +2), in which
 case the window prime certifies nothing and the cascade falls through to
 a later rule.  A WindowValuation certificate therefore asserts only what
-it verified on the exact value: the valuation at its prime is negative,
-hence the sum is not an integer.  The star family is different: indices
-may repeat, the all-equal tuple contributes the unique minimal term
-1/p^weight, and the valuation is exactly -weight.
+it verified: the valuation at its prime is negative, hence the sum is
+not an integer.  The star family is different: indices may repeat, the
+all-equal tuple contributes the unique minimal term 1/p^weight, and the
+valuation is exactly -weight.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from functools import lru_cache
 from itertools import starmap
 
 from . import primes
-from .exact import padic_valuation
+from .exact import int_valuation, padic_valuation
 from .sums import (
     Composition,
     CompositionLike,
@@ -49,6 +52,7 @@ from .sums import (
     _fold,
     dominates,
     harmonic_sum,
+    negative_valuation,
     ones_power_bound,
 )
 
@@ -163,7 +167,7 @@ def leading_exponent_bound(n: int, tail: CompositionLike) -> int:
     for num, den in _tail_pairs(n, tail):
         if num == 0:
             raise RuntimeError("unexpected zero coefficient")
-        vals.append(padic_valuation(num, p) - padic_valuation(den, p))
+        vals.append(int_valuation(num, p) - int_valuation(den, p))
     v_ref = vals.pop((p - 1) // 2)
     return max(v_ref, v_ref - min(vals))
 
@@ -210,20 +214,30 @@ def _require_all_positive(comp: Composition) -> None:
         raise ValueError("integrality certificates cover all-positive compositions")
 
 
+def _negative_valuation(spec: SumSpec, n: int, comp: Composition, p: int,
+                        value: Fraction | None) -> int | None:
+    """v_p of the sum if it is negative, else None: read off value when
+    the caller gives it, otherwise folded modulo a power of p."""
+    if value is None:
+        return negative_valuation(spec, n, comp, p)
+    v = padic_valuation(value, p)
+    return v if v < 0 else None
+
+
 def _bertrand_certificate(spec: SumSpec, n: int, comp: Composition,
                           value: Fraction | None) -> Certificate:
     """Rule 1: a prime n < p < 2n divides exactly one odd denominator.
 
     For star sums, and for strict sums of depth 1, the term using it at
     every position is the unique one of minimal valuation, so the sum
-    has valuation exactly -weight.  The valuation is recomputed on the
-    exact value, not assumed.
+    has valuation exactly -weight.  The valuation is computed, not
+    assumed: modulo a power of p, or on the value when one is given.
     """
     p = primes.bertrand_prime(n)
-    if value is None:
-        value = harmonic_sum(spec, n, comp)
-    v = padic_valuation(value, p)
+    v = _negative_valuation(spec, n, comp, p, value)
     if v != -comp.weight:
+        if v is None:  # not negative; the exact value says what it is
+            v = padic_valuation(harmonic_sum(spec, n, comp) if value is None else value, p)
         raise RuntimeError(
             f"valuation law failed: v_{p} of {spec.ordering} sum at n={n}, "
             f"comp={comp} is {v}, expected {-comp.weight}"
@@ -252,10 +266,10 @@ def valuation_under_window(n: int, r: int, comp: CompositionLike, p: int) -> int
     """Exact valuation of the strict odd sum at a window prime.
 
     Checks the window preconditions (p prime, p > r+1, p*(r+1) >= 2n,
-    p*r < 2n), evaluates the sum exactly, and verifies the valuation is
-    negative before returning it.  At depth 1 it equals -weight; at
-    higher depth it does not in general (see the module docstring), so
-    negativity is the certified fact.
+    p*r < 2n) and takes the valuation as rule 3 does, modulo a power of
+    p, raising RuntimeError unless it is negative.  At depth 1 it equals
+    -weight; at higher depth it does not in general (see the module
+    docstring), so negativity is the certified fact.
     """
     comp = Composition.coerce(comp)
     _require_all_positive(comp)
@@ -266,12 +280,11 @@ def valuation_under_window(n: int, r: int, comp: CompositionLike, p: int) -> int
         raise ValueError(f"p must be prime, got {p}")
     if p <= r + 1 or p * (r + 1) < 2 * n or p * r >= 2 * n:
         raise ValueError(f"p = {p} is not a window prime for n = {n}, r = {r}")
-    value = harmonic_sum(STRICT_ODD, n, comp)
-    v = padic_valuation(value, p)
-    if not isinstance(v, int) or v >= 0:
+    v = _negative_valuation(STRICT_ODD, n, comp, p, None)
+    if v is None:
         raise RuntimeError(
             f"window certificate failed: v_{p} of odd sum at n={n}, "
-            f"comp={comp} is {v}, expected negative"
+            f"comp={comp} is not negative"
         )
     return v
 
@@ -318,10 +331,11 @@ def verify_odd_noninteger(n: int, comp: CompositionLike, *,
     rules 4-6 outside the tabulated regime (n past the window threshold,
     or depth > 17) are flagged best_effort.
 
-    A caller that already holds the sum passes it as value, which must
-    equal harmonic_sum(STRICT_ODD, n, comp).  It then replaces every
-    evaluation of the sum: rules 1 and 3 check their valuation and the
-    final check its denominator on that exact value.
+    Rules 1 and 3 take their valuation modulo a power of their prime,
+    without the value.  A caller that already holds the sum passes it as
+    value, which must equal harmonic_sum(STRICT_ODD, n, comp).  It then
+    replaces every evaluation of the sum: rules 1 and 3 read their
+    valuation and the final check its denominator off that exact value.
     """
     comp = Composition.coerce(comp)
     _require_all_positive(comp)
@@ -341,10 +355,8 @@ def verify_odd_noninteger(n: int, comp: CompositionLike, *,
     if cert is None:
         p = primes.window_prime(n, r)
         if p is not None:
-            if value is None:  # kept for the final check
-                value = harmonic_sum(STRICT_ODD, n, comp)
-            v = padic_valuation(value, p)
-            if isinstance(v, int) and v < 0:
+            v = _negative_valuation(STRICT_ODD, n, comp, p, value)
+            if v is not None:
                 return Certificate(WINDOW_VALUATION, n, comp, rule_index=3,
                                    prime=p, valuation=v)
             # else: rare in principle only; let a later rule certify

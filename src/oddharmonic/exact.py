@@ -37,7 +37,15 @@ def as_rational(value) -> Fraction:
         raise ValueError(f"not a rational: {value!r}") from exc
 
 
-def _int_valuation(m: int, p: int) -> int:
+def int_valuation(m: int, p: int) -> Valuation:
+    """Exponent of p in the integer m; PLUS_INFINITY for m = 0.
+
+    Nothing is checked: p must already be known to be prime, as the
+    primes of the sieve and the prime windows are.  `padic_valuation`
+    is the checked entry point for any rational.
+    """
+    if m == 0:
+        return PLUS_INFINITY
     v = 0
     m = abs(m)
     while m % p == 0:
@@ -55,7 +63,7 @@ def padic_valuation(a, p: int) -> Valuation:
     a = as_rational(a)
     if a == 0:
         return PLUS_INFINITY
-    return _int_valuation(a.numerator, p) - _int_valuation(a.denominator, p)
+    return int_valuation(a.numerator, p) - int_valuation(a.denominator, p)
 
 
 def pochhammer(a, i: int) -> Fraction:

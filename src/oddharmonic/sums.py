@@ -15,7 +15,9 @@ out as an unreduced integer pair.  Folded over k = 0..n-1, the state
 after index k-1 is the sum at n = k: `harmonic_sum_prefixes` reduces
 those at n_min..n_max to Fractions and `harmonic_sum` is its value at
 n.  Rule 5 of the certificates folds a reversed tail from k = n-1 down.
-Nothing is cached.  The brute-force enumerator is an independent oracle.
+Folded modulo a prime power, the same loop gives `negative_valuation`
+without the value.  Nothing is cached.  The brute-force enumerator is
+an independent oracle.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, combinations_with_replacement, starmap
 from typing import Iterable, Iterator, Union
+
+from .exact import int_valuation
 
 
 class WorkLimitExceeded(RuntimeError):
@@ -165,7 +169,7 @@ def harmonic_sum_prefixes(spec: SumSpec, comp: CompositionLike,
 
 
 def _fold(spec: SumSpec, comp: Composition, indices: Iterable[int],
-          skip: int) -> Iterator[tuple[int, int]]:
+          skip: int, modulus: int | None = None) -> Iterator[tuple[int, int]]:
     """Fold comp over the summation indices in the order given: after
     index k, v[j] / den is the sum over the first j exponents with every
     index among those folded so far, the earlier ones taking the earlier
@@ -181,6 +185,10 @@ def _fold(spec: SumSpec, comp: Composition, indices: Iterable[int],
     v[0] *= b'**W and, for j = 1..r in turn, v[j] = v[j] * b'**(W - M_j)
     * b**M_j +- v[j-1]: integers in, integers out.  The state after each
     index past the first `skip` is yielded as (v[r], den), unreduced.
+
+    With a modulus, every v[j] is reduced modulo it after each index.
+    The fold only multiplies and adds, so the pair yielded is then
+    congruent to the unreduced one: residues, not a value.
     """
     r = comp.depth
     mags = comp.magnitudes()
@@ -209,8 +217,45 @@ def _fold(spec: SumSpec, comp: Composition, indices: Iterable[int],
                 term = v[j - 1] * base ** (scale - mags[j - 1])
                 v[j] = v[j] * step + (-term if flip and signed[j - 1] else term)
             v[0] *= step
+        if modulus:
+            for j in range(r + 1):
+                v[j] %= modulus
         if i >= skip:
             yield v[r], v[0] * base ** weight if star else v[0]
+
+
+def negative_valuation(spec: SumSpec, n: int, comp: CompositionLike,
+                       p: int) -> int | None:
+    """v_p of the sum at n if it is negative, else None; p must be prime.
+
+    The fold's unreduced denominator is the product of base(k)**m over
+    k < n, with m = weight for star sums and max|s| for strict ones, so
+    its valuation e is known in closed form: m times v_p(n!), or for odd
+    parity m times v_p((2n)!) - v_p(n!) by Legendre (no odd base holds
+    2).  Fold the numerator modulo p**e.  A nonzero residue x gives the
+    valuation exactly, v_p(x) - e < 0; a zero residue means p**e divides
+    the numerator, so the valuation is >= 0.  Exact at every prime and
+    every n, with no precision to choose.
+    """
+    comp = Composition.coerce(comp)
+    n, p = spec.validate(n, comp), operator.index(p)
+    if p < 2:
+        raise ValueError(f"p must be prime, got {p}")
+
+    def factorial_valuation(m: int) -> int:
+        v = 0
+        while m:
+            m //= p
+            v += m
+        return v
+
+    if not spec.odd:
+        e = factorial_valuation(n)
+    else:
+        e = 0 if p == 2 else factorial_valuation(2 * n) - factorial_valuation(n)
+    e *= comp.weight if spec.star else max(comp.magnitudes())
+    x, _ = next(_fold(spec, comp, range(n), n - 1, p ** e))
+    return int_valuation(x, p) - e if x else None
 
 
 def harmonic_sum_brute(spec: SumSpec, n: int, comp: CompositionLike,

@@ -129,6 +129,15 @@ def test_window_valuation_negative_or_fallthrough_across_grid():
                 assert 0 > v >= -sum(sorted(comp)[r // 2:])
 
 
+def test_rules_1_and_3_at_large_n():
+    # pinned from the exact values, which take seconds each to evaluate;
+    # rules 1 and 3 now take the valuation modulo a power of the prime
+    cert = verify_odd_noninteger(20000, (1, 2, 1, 3))
+    assert (cert.kind, cert.prime, cert.valuation) == (WINDOW_VALUATION, 9973, -4)
+    cert = verify_star_noninteger(20000, (2, 1, 1))
+    assert (cert.kind, cert.prime, cert.valuation) == (STAR_VALUATION, 39989, -4)
+
+
 # -- depth threshold ----------------------------------------------------------
 
 def test_depth_threshold():

@@ -9,6 +9,7 @@ from oddharmonic.exact import (
     PLUS_INFINITY,
     as_rational,
     double_factorial,
+    int_valuation,
     padic_valuation,
     pochhammer,
 )
@@ -24,6 +25,10 @@ def test_valuation_examples():
     assert padic_valuation(F(50), 5) == 2
     assert padic_valuation(F(13, 9), 3) == -2
     assert padic_valuation(F(0), 7) == PLUS_INFINITY
+    # the unchecked integer entry point behind it
+    assert int_valuation(-72, 2) == 3 and int_valuation(72, 3) == 2
+    assert int_valuation(13, 3) == 0
+    assert int_valuation(0, 7) == PLUS_INFINITY
 
 
 def test_valuation_rejects_nonprime():

@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oddharmonic.exact import padic_valuation
+from oddharmonic.primes import is_prime
 from oddharmonic.sums import (
     Composition,
     STAR_ODD,
@@ -21,6 +23,7 @@ from oddharmonic.sums import (
     harmonic_sum,
     harmonic_sum_brute,
     harmonic_sum_prefixes,
+    negative_valuation,
     ones_power_bound,
 )
 
@@ -268,6 +271,41 @@ def test_large_sum_leaves_no_memory_behind():
     finally:
         tracemalloc.stop()
     assert retained < 1 << 20, retained
+
+
+# -- valuations without the value ---------------------------------------------
+
+NEGATIVE_VALUATION_COMPS = ((1,), (3,), (-2,), (1, 1), (2, -1), (-1, 3), (1, 2, 1), (2, 1, -1))
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.ordering}-{s.parity}")
+def test_negative_valuation_matches_exact_valuation(spec):
+    # every prime p < 2n against the brute-force value: the odd bases reach
+    # 3**2, 5**2 and 7**2 by n = 25 and the standard ones 2**4, 3**2 and
+    # 5**2, so the closed-form exponent of the unreduced denominator is
+    # tested where it is more than a count of multiples
+    checked = 0
+    for n in range(1, 27):
+        for comp in NEGATIVE_VALUATION_COMPS:
+            if len(comp) > n or (not spec.odd and len(comp) > 1 and min(comp) < 0):
+                continue
+            value = harmonic_sum_brute(spec, n, comp)
+            for p in filter(is_prime, range(2, 2 * n)):
+                v = padic_valuation(value, p)
+                assert negative_valuation(spec, n, comp, p) == (v if v < 0 else None), \
+                    (n, comp, p, v)
+                checked += 1
+    assert checked > 1000
+
+
+def test_negative_valuation_zero_residue():
+    # v_23 of the strict odd (1,1) sum at n = 26 is +2: the fold's numerator
+    # is 0 modulo 23**e, which says "not negative" and nothing more
+    assert padic_valuation(harmonic_sum(STRICT_ODD, 26, (1, 1)), 23) == 2
+    assert negative_valuation(STRICT_ODD, 26, (1, 1), 23) is None
+    assert negative_valuation(STRICT_ODD, 26, (1, 1), 47) == -1
+    with pytest.raises(ValueError):
+        negative_valuation(STRICT_ODD, 26, (1, 1), 1)
 
 
 # -- hypothesis: oracle equivalence and order properties ----------------------
