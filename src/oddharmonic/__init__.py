@@ -29,6 +29,7 @@ from .exact import (
 )
 from .hyper import (
     alternating_binomial_sum,
+    alternating_binomial_sums,
     binomial_inversion,
     binomial_transform,
     chu_vandermonde,

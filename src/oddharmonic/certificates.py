@@ -15,7 +15,9 @@ forces valuation -weight.  The strict family runs a fixed cascade:
 Ties resolve to the earliest rule, so certificates are reproducible.
 Rules 1 and 3 fold the sum modulo a power of their prime, which decides
 the valuation exactly without the value (`sums.negative_valuation`); a
-caller that already holds the value has it read off that instead.
+caller that already holds the value has it read off that instead, as the
+valuation of its numerator minus that of its denominator.  Their primes
+come from the sieve, so neither reading tests primality again.
 Whenever the exact value is cheap enough to recompute, the engine checks
 non-integrality directly for the bound rules (2, 4 and 5) as well.
 
@@ -42,7 +44,7 @@ from functools import lru_cache
 from itertools import starmap
 
 from . import primes
-from .exact import int_valuation, padic_valuation
+from .exact import int_valuation
 from .sums import (
     Composition,
     CompositionLike,
@@ -64,23 +66,9 @@ MAGNITUDE_BOUND = "MagnitudeBound"
 LARGE_S1_BOUND = "LargeS1Bound"
 DIRECT_NON_INTEGER = "DirectNonInteger"
 
-KINDS = frozenset({
-    TRIVIAL_INTEGER, STAR_VALUATION, WINDOW_VALUATION, DEPTH_BOUND,
-    MAGNITUDE_BOUND, LARGE_S1_BOUND, DIRECT_NON_INTEGER,
-})
-
-# Reference compositions for rule 4 at small depth: any composition that
-# dominates one of these is bounded by the reference sum at the window
-# threshold for its depth, and that sum is exactly < 1.
-_MAGNITUDE_COMPARATORS: dict[int, tuple[tuple[int, ...], ...]] = {
-    2: ((1, 2),),
-    3: ((1, 2, 1), (1, 1, 2)),
-    4: ((1, 2, 1, 1), (1, 1, 2, 1), (1, 1, 1, 2)),
-}
-
 # Decimal thresholds the reference sums are checked against (as exact
-# rationals) by `decimal_bound_checks`; keyed like the comparators, plus
-# the all-ones sums for depths 5..10.
+# rationals) by `decimal_bound_checks`: the rule-4 comparators at depths
+# 2..4, plus the all-ones sums for depths 5..10.
 _DECIMAL_THRESHOLDS: dict[tuple[int, ...], Fraction] = {
     (1, 2): Fraction(27273, 100000),
     (1, 2, 1): Fraction(22216, 100000),
@@ -95,6 +83,12 @@ _DECIMAL_THRESHOLDS: dict[tuple[int, ...], Fraction] = {
     (1,) * 9: Fraction(17796, 100000),
     (1,) * 10: Fraction(6243, 100000),
 }
+
+# Reference compositions for rule 4 at small depth, tried in table order:
+# any composition that dominates one of these is bounded by the reference
+# sum at the window threshold for its depth, and that sum is exactly < 1.
+_MAGNITUDE_COMPARATORS = {r: tuple(c for c in _DECIMAL_THRESHOLDS if len(c) == r)
+                          for r in (2, 3, 4)}
 
 
 @dataclass(frozen=True)
@@ -149,20 +143,19 @@ def tail_coefficients(n: int, tail: CompositionLike) -> tuple[Fraction, ...]:
 def leading_exponent_bound(n: int, tail: CompositionLike) -> int:
     """Threshold N: any first exponent above N makes the sum non-integral.
 
-    Uses the largest prime p in (n-r+1, 2n-2r+2); then 2p exceeds every
-    odd denominator of position >= (p-1)/2, so the p-part of the term at
-    p is isolated once the first exponent clears the coefficient
-    valuations.  N = max(v, v - min over other coefficients) where v is
-    the valuation of the coefficient at position (p-1)/2.  Each valuation
-    is taken on the unreduced pair, numerator minus denominator.
+    Uses the Bertrand prime p of n-r+1, the largest in (n-r+1, 2n-2r+2),
+    which exists since r < n; then 2p exceeds every odd denominator of
+    position >= (p-1)/2, so the p-part of the term at p is isolated once
+    the first exponent clears the coefficient valuations.  N = max(v, v -
+    min over other coefficients) where v is the valuation of the
+    coefficient at position (p-1)/2.  Each valuation is taken on the
+    unreduced pair, numerator minus denominator.
     """
     tail = Composition.coerce(tail)
     r = tail.depth + 1
     if not 2 <= r < n:
         raise ValueError(f"need 2 <= depth = {r} < n = {n}")
-    p = primes.largest_prime_in(n - r + 1, 2 * n - 2 * r + 2)
-    if p is None:  # impossible: Bertrand on (n-r+1, 2(n-r+1))
-        raise RuntimeError(f"no prime in ({n - r + 1}, {2 * n - 2 * r + 2})")
+    p = primes.bertrand_prime(n - r + 1)
     vals = []
     for num, den in _tail_pairs(n, tail):
         if num == 0:
@@ -209,18 +202,28 @@ def depth_threshold_holds(n: int, r: int) -> bool:
     return True
 
 
-def _require_all_positive(comp: Composition) -> None:
+def _checked_case(spec: SumSpec, n: int, comp: CompositionLike,
+                  value: Fraction | None = None) -> tuple[int, Composition]:
+    """The validated n and all-positive composition of one case; a value
+    that no rule could read, neither None nor an int nor a Fraction, is
+    refused here, before any rule runs."""
+    if not (value is None or isinstance(value, (int, Fraction))):
+        raise TypeError(f"value must be None, an int or a Fraction, not {type(value).__name__}")
+    comp = Composition.coerce(comp)
     if not comp.all_positive:
         raise ValueError("integrality certificates cover all-positive compositions")
+    return spec.validate(n, comp), comp
 
 
 def _negative_valuation(spec: SumSpec, n: int, comp: Composition, p: int,
                         value: Fraction | None) -> int | None:
-    """v_p of the sum if it is negative, else None: read off value when
-    the caller gives it, otherwise folded modulo a power of p."""
+    """v_p of the sum if it is negative, else None.  A given value is read
+    with integers, numerator valuation minus denominator valuation; p
+    comes from the sieve, so it is not tested again.  Without a value the
+    sum is folded modulo a power of p."""
     if value is None:
         return negative_valuation(spec, n, comp, p)
-    v = padic_valuation(value, p)
+    v = int_valuation(value.numerator, p) - int_valuation(value.denominator, p)
     return v if v < 0 else None
 
 
@@ -236,11 +239,10 @@ def _bertrand_certificate(spec: SumSpec, n: int, comp: Composition,
     p = primes.bertrand_prime(n)
     v = _negative_valuation(spec, n, comp, p, value)
     if v != -comp.weight:
-        if v is None:  # not negative; the exact value says what it is
-            v = padic_valuation(harmonic_sum(spec, n, comp) if value is None else value, p)
         raise RuntimeError(
             f"valuation law failed: v_{p} of {spec.ordering} sum at n={n}, "
-            f"comp={comp} is {v}, expected {-comp.weight}"
+            f"comp={comp} is {'not negative' if v is None else v}, "
+            f"expected {-comp.weight}"
         )
     return Certificate(STAR_VALUATION, n, comp, rule_index=1, prime=p, valuation=v)
 
@@ -254,9 +256,7 @@ def verify_star_noninteger(n: int, comp: CompositionLike, *,
     equal harmonic_sum(STAR_ODD, n, comp); rule 1 then checks its
     valuation on that value instead of evaluating the sum again.
     """
-    comp = Composition.coerce(comp)
-    _require_all_positive(comp)
-    n = STAR_ODD.validate(n, comp)
+    n, comp = _checked_case(STAR_ODD, n, comp, value)
     if n == 1:
         return Certificate(TRIVIAL_INTEGER, n, comp, rule_index=0)
     return _bertrand_certificate(STAR_ODD, n, comp, value)
@@ -271,16 +271,14 @@ def valuation_under_window(n: int, r: int, comp: CompositionLike, p: int) -> int
     -weight; at higher depth it does not in general (see the module
     docstring), so negativity is the certified fact.
     """
-    comp = Composition.coerce(comp)
-    _require_all_positive(comp)
+    n, comp = _checked_case(STRICT_ODD, n, comp)
     if comp.depth != r:
         raise ValueError(f"composition depth {comp.depth} != r = {r}")
-    n = STRICT_ODD.validate(n, comp)
     if not primes.is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if p <= r + 1 or p * (r + 1) < 2 * n or p * r >= 2 * n:
         raise ValueError(f"p = {p} is not a window prime for n = {n}, r = {r}")
-    v = _negative_valuation(STRICT_ODD, n, comp, p, None)
+    v = negative_valuation(STRICT_ODD, n, comp, p)
     if v is None:
         raise RuntimeError(
             f"window certificate failed: v_{p} of odd sum at n={n}, "
@@ -337,9 +335,7 @@ def verify_odd_noninteger(n: int, comp: CompositionLike, *,
     replaces every evaluation of the sum: rules 1 and 3 read their
     valuation and the final check its denominator off that exact value.
     """
-    comp = Composition.coerce(comp)
-    _require_all_positive(comp)
-    n = STRICT_ODD.validate(n, comp)
+    n, comp = _checked_case(STRICT_ODD, n, comp, value)
     if n == 1:
         return Certificate(TRIVIAL_INTEGER, n, comp, rule_index=0)
     r = comp.depth
@@ -370,7 +366,7 @@ def verify_odd_noninteger(n: int, comp: CompositionLike, *,
         elif r < n:
             s1_bound = leading_exponent_bound(n, comp.indices[1:])
             if comp.indices[0] > s1_bound:
-                p = primes.largest_prime_in(n - r + 1, 2 * n - 2 * r + 2)
+                p = primes.bertrand_prime(n - r + 1)
                 cert = Certificate(LARGE_S1_BOUND, n, comp, rule_index=5,
                                    prime=p, bound=Fraction(s1_bound),
                                    best_effort=best_effort)

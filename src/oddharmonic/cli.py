@@ -91,18 +91,17 @@ def _cmd_sweep(args) -> int:
         start = max(args.n_min, len(comp_t))
         if start <= args.n_max:
             values = harmonic_sum_prefixes(spec, comp_t, start, args.n_max)
-            groups.append((comp_t, start, values))
+            groups.append((Composition(comp_t), start, values))
     failures = 0
     for n in range(args.n_min, args.n_max + 1):
-        for comp_t, start, values in groups:
+        for comp, start, values in groups:
             if n < start:
                 continue
             value = next(values)
             try:
-                cert = verifier(n, Composition(comp_t), value=value)
+                cert = verifier(n, comp, value=value)
             except RuntimeError as exc:
-                print(f"FAIL n={n} comp={','.join(map(str, comp_t))}: {exc}",
-                      file=sys.stderr)
+                print(f"FAIL n={n} comp={comp}: {exc}", file=sys.stderr)
                 failures += 1
                 continue
             print(json.dumps(cert.to_json()))
@@ -220,17 +219,16 @@ def _identity_rows(suite, n_max, s_max, m_max, xs, seed, count):
         half, threehalf = Fraction(1, 2), Fraction(3, 2)
         for s in range(1, s_max + 1):
             for sign in (1, -1):
-                f = list(harmonic_sum_prefixes(STRICT_ODD, (sign * s,), 1, n_max))
-                for n in range(1, n_max + 1):
+                rows = hyper.alternating_binomial_sums(
+                    harmonic_sum_prefixes(STRICT_ODD, (sign * s,), 1, n_max))
+                for n, rhs in enumerate(rows, start=1):
                     lhs = hyper.pfq((half,) * s + (1 - n,), (threehalf,) * s, sign)
-                    rhs = hyper.alternating_binomial_sum(n, lambda k: f[k - 1])
                     yield (suite, n, s, "", "", sign, lhs, rhs)
         for m in range(1, m_max + 1):
-            f = list(hyper.consecutive_product_sums(m, n_max))
-            for n in range(1, n_max + 1):
+            rows = hyper.alternating_binomial_sums(hyper.consecutive_product_sums(m, n_max))
+            for n, row in enumerate(rows, start=1):
                 lhs = hyper.pfq((1, 1 - n), (m + n,), -1)
-                rhs = (math.factorial(m - 1) * (m + n - 1)
-                       * hyper.alternating_binomial_sum(n, lambda k: f[k - 1]))
+                rhs = math.factorial(m - 1) * (m + n - 1) * row
                 yield ("inversion-blocks", n, "", m, "", "", lhs, rhs)
         rng = random.Random(seed)
         f = [Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(8)]

@@ -111,9 +111,9 @@ def alternating_binomial_sum(n: int, f: Callable[[int], Fraction]) -> Fraction:
     return _binomial_row(nums, den)
 
 
-def _binomial_prefixes(values: Iterable) -> Iterator[Fraction]:
+def alternating_binomial_sums(values: Iterable) -> Iterator[Fraction]:
     """alternating_binomial_sum(n, f) for n = 1, 2, ... with f(k) the k-th
-    of values, each value taken once and kept for the larger n."""
+    of values, lazily, each value taken once and kept for the larger n."""
     nums, den = [], 1
     for value in values:
         den = _append_over_lcm(nums, den, value)
@@ -145,7 +145,7 @@ def odd_power_sum_identity_prefixes(n_max: int, s: int, x,
     with each series evaluated once."""
     term, series = _power_sum_parts(s, x, sign)
     return zip(accumulate(map(term, range(n_max))),
-               _binomial_prefixes(map(series, range(1, n_max + 1))))
+               alternating_binomial_sums(map(series, range(1, n_max + 1))))
 
 
 def _harmonic_series(s: int, sign: int, parity: str) -> Callable[[int], Fraction]:
@@ -171,7 +171,7 @@ def harmonic_via_hyper_prefixes(n_max: int, s: int, sign: int = 1, *,
                                 parity: str) -> Iterator[Fraction]:
     """harmonic_via_hyper(n, s, sign, parity=parity) for n = 1..n_max,
     lazily, with each series evaluated once."""
-    return _binomial_prefixes(map(_harmonic_series(s, sign, parity), range(1, n_max + 1)))
+    return alternating_binomial_sums(map(_harmonic_series(s, sign, parity), range(1, n_max + 1)))
 
 
 def odd_harmonic_closed_form(n: int) -> Fraction:
@@ -237,7 +237,7 @@ def consecutive_product_sum_prefixes(m: int, n_max: int) -> Iterator[tuple[Fract
     """(consecutive_product_sum_via_hyper(m, n), consecutive_product_sum(m, n))
     for n = 1..n_max, lazily, with each series evaluated once."""
     direct = consecutive_product_sums(m, n_max)
-    return zip(_binomial_prefixes(map(_block_series(m), range(1, n_max + 1))), direct)
+    return zip(alternating_binomial_sums(map(_block_series(m), range(1, n_max + 1))), direct)
 
 
 def euler_binomial_harmonic(n: int) -> Fraction:
@@ -254,7 +254,7 @@ def binomial_inversion(values: Sequence) -> list[Fraction]:
     f = [as_rational(v) for v in values]
     if not f:
         raise ValueError("need a nonempty sequence")
-    return [row if m % 2 else -row for m, row in enumerate(_binomial_prefixes(f), start=1)]
+    return [row if m % 2 else -row for m, row in enumerate(alternating_binomial_sums(f), start=1)]
 
 
 def binomial_transform(values: Sequence) -> list[Fraction]:
@@ -265,4 +265,4 @@ def binomial_transform(values: Sequence) -> list[Fraction]:
     g = [as_rational(v) for v in values]
     if not g:
         raise ValueError("need a nonempty sequence")
-    return list(_binomial_prefixes(v if k % 2 else -v for k, v in enumerate(g, start=1)))
+    return list(alternating_binomial_sums(v if k % 2 else -v for k, v in enumerate(g, start=1)))

@@ -298,6 +298,9 @@ def test_given_value_is_what_each_rule_checks():
         assert cert == verifier(9, (2,))
         with pytest.raises(RuntimeError, match="valuation law"):
             verifier(9, (2,), value=value * cert.prime)
+        # v_p of this value is 0: no negative valuation was found at all
+        with pytest.raises(RuntimeError, match="is not negative, expected -2"):
+            verifier(9, (2,), value=value * cert.prime ** 2)
     # so does rule 3
     value = harmonic_sum(STRICT_ODD, 12, (1, 1))
     cert = verify_odd_noninteger(12, (1, 1), value=value)
@@ -308,6 +311,34 @@ def test_given_value_is_what_each_rule_checks():
     for n, comp in ((8, (1,) * 8), (12, (1, 1)), (5, (1, 2)), (5, (3, 1)), (5, (1, 1))):
         with pytest.raises(RuntimeError, match="integer value 3 "):
             verify_odd_noninteger(n, comp, value=Fraction(3))
+
+
+def test_given_value_needs_no_primality_test(monkeypatch):
+    # the primes of rules 1 and 3 come from the sieve; a given value is
+    # read at them with integers, so is_prime is never asked again
+    cases = [(verify_star_noninteger, STAR_ODD, 9, (2,)),
+             (verify_odd_noninteger, STRICT_ODD, 9, (2,)),
+             (verify_odd_noninteger, STRICT_ODD, 12, (1, 1)),
+             (verify_odd_noninteger, STRICT_ODD, 40, (1, 2, 1))]
+    expected = [verifier(n, comp) for verifier, _, n, comp in cases]
+    assert [c.kind for c in expected] == [STAR_VALUATION] * 2 + [WINDOW_VALUATION] * 2
+
+    def refuse(m):
+        raise AssertionError(f"is_prime({m}) called")
+
+    monkeypatch.setattr("oddharmonic.primes.is_prime", refuse)
+    for (verifier, spec, n, comp), cert in zip(cases, expected):
+        assert verifier(n, comp, value=harmonic_sum(spec, n, comp)) == cert
+
+
+@pytest.mark.parametrize("value", [0.5, "1/3"])
+def test_given_value_of_another_type_is_refused(value):
+    # refused at entry, before any rule could read it
+    cases = [(verify_star_noninteger, 9, (2,)), (verify_odd_noninteger, 9, (2,)),
+             (verify_odd_noninteger, 12, (1, 1)), (verify_odd_noninteger, 5, (1, 2))]
+    for verifier, n, comp in cases:
+        with pytest.raises(TypeError, match="value must be"):
+            verifier(n, comp, value=value)
 
 
 def test_cascade_rejects_bad_input():

@@ -264,6 +264,16 @@ def test_identity_output_digest(capsys, seed, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_inversion_grid_digest(capsys):
+    # recorded when each inversion row was its own binomial sum over f(1..n)
+    code, out, err = run(capsys, "identity-check", "inversion", "--n-max", "60",
+                         "--s-max", "4", "--m-max", "6")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 849
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "80fb1764c40224ac71eed80854f956641082f15f2fffa2c15ea0725801c4e865")
+
+
 def test_identity_check_evaluates_each_series_once(capsys, monkeypatch):
     # one pfq call per (group, n) of the suites, none for the direct sides
     calls = []

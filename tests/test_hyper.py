@@ -11,6 +11,7 @@ from oddharmonic.hyper import (
     DegenerateLowerParameter,
     NonTerminatingSeries,
     alternating_binomial_sum,
+    alternating_binomial_sums,
     binomial_inversion,
     binomial_transform,
     chu_vandermonde,
@@ -315,6 +316,8 @@ def test_alternating_binomial_sum_matches_reference():
         f = lambda k: values[k - 1]  # noqa: E731
         for n in range(0, len(values) + 1):
             assert alternating_binomial_sum(n, f) == _alternating_reference(n, f), (values, n)
+        assert list(alternating_binomial_sums(values)) == [
+            _alternating_reference(n, f) for n in range(1, len(values) + 1)], values
 
 
 def test_inversion_and_transform_match_reference():
