@@ -69,6 +69,7 @@ from .sums import (
     dominates,
     harmonic_sum,
     harmonic_sum_brute,
+    harmonic_sum_pairs,
     harmonic_sum_prefixes,
     negative_valuation,
     ones_power_bound,

@@ -20,6 +20,10 @@ valuation of its numerator minus that of its denominator.  Their primes
 come from the sieve, so neither reading tests primality again.
 Whenever the exact value is cheap enough to recompute, the engine checks
 non-integrality directly for the bound rules (2, 4 and 5) as well.
+Inside the cascade a value is an integer pair (num, den) with den > 0,
+reduced or not: both readings, and the final check num % den == 0, are
+the same on any such pair, so `sweep` hands over the fold's unreduced
+pairs and no gcd is taken.
 
 A caution on rule 3: at depth >= 2 a window prime p divides only
 ceil(r/2) of the odd numbers below 2n (even multiples of p are never odd
@@ -42,6 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import starmap
+from typing import Union
 
 from . import primes
 from .exact import int_valuation
@@ -54,6 +59,7 @@ from .sums import (
     _fold,
     dominates,
     harmonic_sum,
+    harmonic_sum_pairs,
     negative_valuation,
     ones_power_bound,
 )
@@ -87,8 +93,8 @@ _DECIMAL_THRESHOLDS: dict[tuple[int, ...], Fraction] = {
 # Reference compositions for rule 4 at small depth, tried in table order:
 # any composition that dominates one of these is bounded by the reference
 # sum at the window threshold for its depth, and that sum is exactly < 1.
-_MAGNITUDE_COMPARATORS = {r: tuple(c for c in _DECIMAL_THRESHOLDS if len(c) == r)
-                          for r in (2, 3, 4)}
+_MAGNITUDE_COMPARATORS = {
+    r: tuple(Composition(c) for c in _DECIMAL_THRESHOLDS if len(c) == r) for r in (2, 3, 4)}
 
 
 @dataclass(frozen=True)
@@ -202,33 +208,49 @@ def depth_threshold_holds(n: int, r: int) -> bool:
     return True
 
 
+# A value as the cascade reads it: (numerator, denominator > 0), not
+# necessarily reduced.
+Pair = tuple[int, int]
+ValueLike = Union[Fraction, int, Pair, None]
+
+
 def _checked_case(spec: SumSpec, n: int, comp: CompositionLike,
-                  value: Fraction | None = None) -> tuple[int, Composition]:
-    """The validated n and all-positive composition of one case; a value
-    that no rule could read, neither None nor an int nor a Fraction, is
-    refused here, before any rule runs."""
-    if not (value is None or isinstance(value, (int, Fraction))):
-        raise TypeError(f"value must be None, an int or a Fraction, not {type(value).__name__}")
+                  value: ValueLike = None) -> tuple[int, Composition, Pair | None]:
+    """The validated n, all-positive composition and value pair of one
+    case.  A Fraction or an int becomes its (numerator, denominator); a
+    value that no rule could read, neither None nor one of those nor a
+    pair of ints with den > 0, is refused here, before any rule runs."""
+    if (isinstance(value, tuple) and len(value) == 2
+            and isinstance(value[0], int) and isinstance(value[1], int)):
+        if value[1] <= 0:
+            raise ValueError(f"value pair needs a positive denominator, got {value[1]}")
+    elif isinstance(value, Fraction):
+        value = value.numerator, value.denominator
+    elif isinstance(value, int):
+        value = value, 1
+    elif value is not None:
+        raise TypeError("value must be None, an int, a Fraction or a pair of ints "
+                        f"(num, den), not {type(value).__name__}")
     comp = Composition.coerce(comp)
     if not comp.all_positive:
         raise ValueError("integrality certificates cover all-positive compositions")
-    return spec.validate(n, comp), comp
+    return spec.validate(n, comp), comp, value
 
 
 def _negative_valuation(spec: SumSpec, n: int, comp: Composition, p: int,
-                        value: Fraction | None) -> int | None:
+                        value: Pair | None) -> int | None:
     """v_p of the sum if it is negative, else None.  A given value is read
     with integers, numerator valuation minus denominator valuation; p
     comes from the sieve, so it is not tested again.  Without a value the
     sum is folded modulo a power of p."""
     if value is None:
         return negative_valuation(spec, n, comp, p)
-    v = int_valuation(value.numerator, p) - int_valuation(value.denominator, p)
+    v = int_valuation(value[0], p) - int_valuation(value[1], p)
     return v if v < 0 else None
 
 
 def _bertrand_certificate(spec: SumSpec, n: int, comp: Composition,
-                          value: Fraction | None) -> Certificate:
+                          value: Pair | None) -> Certificate:
     """Rule 1: a prime n < p < 2n divides exactly one odd denominator.
 
     For star sums, and for strict sums of depth 1, the term using it at
@@ -248,15 +270,16 @@ def _bertrand_certificate(spec: SumSpec, n: int, comp: Composition,
 
 
 def verify_star_noninteger(n: int, comp: CompositionLike, *,
-                           value: Fraction | None = None) -> Certificate:
+                           value: ValueLike = None) -> Certificate:
     """Certificate that the odd star sum at n >= 2 is not an integer.
 
     A prime n < p < 2n forces valuation exactly -weight (rule 1).  A
-    caller that already holds the sum passes it as value, which must
-    equal harmonic_sum(STAR_ODD, n, comp); rule 1 then checks its
-    valuation on that value instead of evaluating the sum again.
+    caller that already holds the sum passes it as value: a Fraction, an
+    int or a pair (num, den) with den > 0, unreduced or not, equal to
+    harmonic_sum(STAR_ODD, n, comp).  Rule 1 then checks its valuation
+    on that value instead of evaluating the sum again.
     """
-    n, comp = _checked_case(STAR_ODD, n, comp, value)
+    n, comp, value = _checked_case(STAR_ODD, n, comp, value)
     if n == 1:
         return Certificate(TRIVIAL_INTEGER, n, comp, rule_index=0)
     return _bertrand_certificate(STAR_ODD, n, comp, value)
@@ -271,7 +294,7 @@ def valuation_under_window(n: int, r: int, comp: CompositionLike, p: int) -> int
     -weight; at higher depth it does not in general (see the module
     docstring), so negativity is the certified fact.
     """
-    n, comp = _checked_case(STRICT_ODD, n, comp)
+    n, comp, _ = _checked_case(STRICT_ODD, n, comp)
     if comp.depth != r:
         raise ValueError(f"composition depth {comp.depth} != r = {r}")
     if not primes.is_prime(p):
@@ -303,7 +326,7 @@ def _magnitude_bound(n: int, comp: Composition) -> Fraction | None:
     if r <= 4:
         for comparator in _MAGNITUDE_COMPARATORS[r]:
             if dominates(comp, comparator):
-                bound = _reference_sum(ref_n, comparator)
+                bound = _reference_sum(ref_n, comparator.indices)
                 if bound < 1:
                     return bound
         return None
@@ -320,7 +343,7 @@ _VALUE_CHECK_LIMIT = 20_000
 
 
 def verify_odd_noninteger(n: int, comp: CompositionLike, *,
-                          value: Fraction | None = None) -> Certificate:
+                          value: ValueLike = None) -> Certificate:
     """Certificate that the strict odd sum at n >= 2 is not an integer.
 
     Runs the module-level cascade; the first applicable rule wins.  When
@@ -331,11 +354,12 @@ def verify_odd_noninteger(n: int, comp: CompositionLike, *,
 
     Rules 1 and 3 take their valuation modulo a power of their prime,
     without the value.  A caller that already holds the sum passes it as
-    value, which must equal harmonic_sum(STRICT_ODD, n, comp).  It then
-    replaces every evaluation of the sum: rules 1 and 3 read their
-    valuation and the final check its denominator off that exact value.
+    value: a Fraction, an int or a pair (num, den) with den > 0,
+    unreduced or not, equal to harmonic_sum(STRICT_ODD, n, comp).  It
+    then replaces every evaluation of the sum: rules 1 and 3 read their
+    valuation and the final check its integrality off that exact value.
     """
-    n, comp = _checked_case(STRICT_ODD, n, comp, value)
+    n, comp, value = _checked_case(STRICT_ODD, n, comp, value)
     if n == 1:
         return Certificate(TRIVIAL_INTEGER, n, comp, rule_index=0)
     r = comp.depth
@@ -376,10 +400,9 @@ def verify_odd_noninteger(n: int, comp: CompositionLike, *,
 
     # Rule 6 is this check; for rules 2, 4 and 5 it is a cross-check.
     if cert.kind == DIRECT_NON_INTEGER or n * r <= _VALUE_CHECK_LIMIT:
-        if value is None:
-            value = harmonic_sum(STRICT_ODD, n, comp)
-        if value.denominator == 1:
-            raise RuntimeError(f"integer value {value} at n={n}, comp={comp} "
+        num, den = next(harmonic_sum_pairs(STRICT_ODD, comp, n, n)) if value is None else value
+        if num % den == 0:
+            raise RuntimeError(f"integer value {num // den} at n={n}, comp={comp} "
                                f"contradicts {cert.kind} certificate")
     return cert
 

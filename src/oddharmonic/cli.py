@@ -27,6 +27,7 @@ from .sums import (
     SumSpec,
     compositions,
     harmonic_sum,
+    harmonic_sum_pairs,
     harmonic_sum_prefixes,
 )
 
@@ -80,24 +81,62 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+# `sweep` refuses a grid whose folds would hold more than this in integers.
+SWEEP_STATE_LIMIT_BYTES = 256 << 20
+
+
+def _odd_product_bits(n: int) -> int:
+    """Sum of the bit lengths of 1, 3, ..., 2n-1, an upper bound on the bit
+    length of their product, in closed form per bit length."""
+    bits, lo, top = 0, 1, 2 * n - 1
+    while lo <= top:
+        hi = min(2 * lo - 1, top)  # every integer in [lo, hi] has lo's bit length
+        bits += ((hi + 1) // 2 - lo // 2) * lo.bit_length()
+        lo *= 2
+    return bits
+
+
+def _sweep_state_bytes(n_min: int, n_max: int, weight_max: int, depth_max: int) -> int:
+    """Estimated size of the integers the sweep's folds hold at n_max.
+
+    There are C(w-1, d-1) compositions of weight w and depth d; each fold
+    holds d+1 integers of about the bit length of its unreduced
+    denominator, the product of (2k+1)**w over k < n_max at most.
+    Nothing is enumerated or evaluated.
+    """
+    if n_min > n_max:
+        return 0
+    bits_per_weight = _odd_product_bits(n_max)
+    bits = sum(math.comb(w - 1, d - 1) * (d + 1) * w * bits_per_weight
+               for w in range(1, weight_max + 1)
+               for d in range(1, min(w, depth_max, n_max) + 1))
+    return bits // 8
+
+
 def _cmd_sweep(args) -> int:
     spec, verifier = ((STAR_ODD, verify_star_noninteger) if args.ordering == "star"
                       else (STRICT_ODD, verify_odd_noninteger))
     depth_max = args.depth_max if args.depth_max is not None else args.weight_max
+    state = _sweep_state_bytes(args.n_min, args.n_max, args.weight_max, depth_max)
+    if state > SWEEP_STATE_LIMIT_BYTES:
+        raise ValueError(f"sweep would hold about {state >> 20} MiB of fold state, over "
+                         f"its limit of {SWEEP_STATE_LIMIT_BYTES >> 20} MiB; "
+                         "lower --n-max, --weight-max or --depth-max")
     # One fold per composition, advanced in lockstep over n; a composition
-    # has rows from n = its depth on.
+    # has rows from n = its depth on.  Each row's certificate reads the
+    # fold's unreduced (num, den) pair: no Fraction is built.
     groups = []
     for comp_t in compositions(args.weight_max, min(depth_max, args.n_max)):
         start = max(args.n_min, len(comp_t))
         if start <= args.n_max:
-            values = harmonic_sum_prefixes(spec, comp_t, start, args.n_max)
-            groups.append((Composition(comp_t), start, values))
+            comp = Composition(comp_t)
+            groups.append((comp, start, harmonic_sum_pairs(spec, comp, start, args.n_max)))
     failures = 0
     for n in range(args.n_min, args.n_max + 1):
-        for comp, start, values in groups:
+        for comp, start, pairs in groups:
             if n < start:
                 continue
-            value = next(values)
+            value = next(pairs)
             try:
                 cert = verifier(n, comp, value=value)
             except RuntimeError as exc:

@@ -110,6 +110,7 @@ def largest_prime_in(lo: int, hi: int) -> int | None:
     return ps[-1] if ps else None
 
 
+@lru_cache(maxsize=4096, typed=True)  # typed: 7.0 must not hit the key 7
 def bertrand_prime(n: int) -> int:
     """Largest prime p with n < p < 2n (exists for every n >= 2)."""
     if n < 2:
@@ -120,6 +121,7 @@ def bertrand_prime(n: int) -> int:
     return p
 
 
+@lru_cache(maxsize=4096, typed=True)
 def window_prime(n: int, r: int) -> int | None:
     """Largest prime p > r+1 with p*(r+1) >= 2n and p*r < 2n, or None.
 

@@ -12,11 +12,12 @@ depth, each step is one multiply-add per depth by small powers of
 base(k) (star sums keep their numerators rescaled by a power of base(k)
 for this), so no step needs a gcd or a division, and each state comes
 out as an unreduced integer pair.  Folded over k = 0..n-1, the state
-after index k-1 is the sum at n = k: `harmonic_sum_prefixes` reduces
-those at n_min..n_max to Fractions and `harmonic_sum` is its value at
-n.  Rule 5 of the certificates folds a reversed tail from k = n-1 down.
-Folded modulo a prime power, the same loop gives `negative_valuation`
-without the value.  Nothing is cached.  The brute-force enumerator is
+after index k-1 is the sum at n = k: `harmonic_sum_pairs` yields those
+at n_min..n_max as they come, `harmonic_sum_prefixes` reduces them to
+Fractions and `harmonic_sum` is its value at n.  Rule 5 of the
+certificates folds a reversed tail from k = n-1 down.  Folded modulo a
+prime power, the same loop gives `negative_valuation` without the
+value.  Nothing is cached.  The brute-force enumerator is
 an independent oracle.
 """
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, combinations, combinations_with_replacement, starmap
 from typing import Iterable, Iterator, Union
@@ -38,9 +39,19 @@ class WorkLimitExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class Composition:
-    """Ordered tuple of nonzero exponents; negative means alternating."""
+    """Ordered tuple of nonzero exponents; negative means alternating.
+
+    Its depth, weight, sign pattern, magnitudes and string form are
+    computed once, here, and kept out of ==, hash and repr, which see
+    only the indices.
+    """
 
     indices: tuple[int, ...]
+    depth: int = field(init=False, repr=False, compare=False)
+    weight: int = field(init=False, repr=False, compare=False)
+    all_positive: bool = field(init=False, repr=False, compare=False)
+    _magnitudes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -50,9 +61,14 @@ class Composition:
                              f"{self.indices!r}") from exc
         if not idx:
             raise ValueError("composition must be nonempty")
-        if any(i == 0 for i in idx):
+        if 0 in idx:
             raise ValueError("composition entries must be nonzero")
-        object.__setattr__(self, "indices", idx)
+        mags = tuple(abs(i) for i in idx)
+        facts = {"indices": idx, "depth": len(idx), "weight": sum(mags),
+                 "all_positive": mags == idx, "_magnitudes": mags,
+                 "_text": ",".join(map(str, idx))}
+        for name, value in facts.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def coerce(cls, value: "CompositionLike") -> "Composition":
@@ -78,20 +94,8 @@ class Composition:
     def repeat(cls, entry: int, depth: int) -> "Composition":
         return cls((entry,) * depth)
 
-    @property
-    def depth(self) -> int:
-        return len(self.indices)
-
-    @property
-    def weight(self) -> int:
-        return sum(abs(i) for i in self.indices)
-
-    @property
-    def all_positive(self) -> bool:
-        return all(i > 0 for i in self.indices)
-
     def magnitudes(self) -> tuple[int, ...]:
-        return tuple(abs(i) for i in self.indices)
+        return self._magnitudes
 
     def __iter__(self):
         return iter(self.indices)
@@ -100,7 +104,7 @@ class Composition:
         return len(self.indices)
 
     def __str__(self) -> str:
-        return ",".join(str(i) for i in self.indices)
+        return self._text
 
 
 CompositionLike = Union[Composition, Iterable[int], str, int]
@@ -156,16 +160,26 @@ def harmonic_sum(spec: SumSpec, n: int, comp: CompositionLike) -> Fraction:
 
 def harmonic_sum_prefixes(spec: SumSpec, comp: CompositionLike,
                           n_min: int, n_max: int) -> Iterator[Fraction]:
-    """harmonic_sum(spec, n, comp) for n = n_min..n_max, lazily, from one
-    fold up to n_max.
+    """harmonic_sum(spec, n, comp) for n = n_min..n_max, lazily: the
+    pairs of `harmonic_sum_pairs`, each reduced to a Fraction."""
+    return starmap(Fraction, harmonic_sum_pairs(spec, comp, n_min, n_max))
 
+
+def harmonic_sum_pairs(spec: SumSpec, comp: CompositionLike,
+                       n_min: int, n_max: int) -> Iterator[tuple[int, int]]:
+    """The sum at n = n_min..n_max as unreduced integer pairs (num, den),
+    den > 0, lazily, from one fold up to n_max.
+
+    num / den equals harmonic_sum(spec, n, comp).  A p-adic valuation
+    (numerator's minus denominator's) and integrality (num % den == 0)
+    read the same off the pair as off the reduced value, without a gcd.
     The arguments are checked at the call: depth <= n_min <= n_max.
     """
     comp = Composition.coerce(comp)
     n_min, n_max = spec.validate(n_min, comp), operator.index(n_max)
     if n_max < n_min:
         raise ValueError(f"need n_min <= n_max, got {n_min} > {n_max}")
-    return starmap(Fraction, _fold(spec, comp, range(n_max), n_min - 1))
+    return _fold(spec, comp, range(n_max), n_min - 1)
 
 
 def _fold(spec: SumSpec, comp: Composition, indices: Iterable[int],

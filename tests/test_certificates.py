@@ -26,7 +26,13 @@ from oddharmonic.certificates import (
     verify_star_noninteger,
 )
 from oddharmonic.exact import padic_valuation
-from oddharmonic.sums import STAR_ODD, STRICT_ODD, compositions, harmonic_sum
+from oddharmonic.sums import (
+    STAR_ODD,
+    STRICT_ODD,
+    compositions,
+    harmonic_sum,
+    harmonic_sum_pairs,
+)
 
 F = Fraction
 
@@ -301,6 +307,13 @@ def test_given_value_is_what_each_rule_checks():
         # v_p of this value is 0: no negative valuation was found at all
         with pytest.raises(RuntimeError, match="is not negative, expected -2"):
             verifier(9, (2,), value=value * cert.prime ** 2)
+        # the same on the fold's unreduced pair
+        num, den = next(harmonic_sum_pairs(spec, (2,), 9, 9))
+        assert verifier(9, (2,), value=(num, den)) == cert
+        with pytest.raises(RuntimeError, match="valuation law"):
+            verifier(9, (2,), value=(num * cert.prime, den))
+        with pytest.raises(RuntimeError, match="is not negative, expected -2"):
+            verifier(9, (2,), value=(num * cert.prime ** 2, den))
     # so does rule 3
     value = harmonic_sum(STRICT_ODD, 12, (1, 1))
     cert = verify_odd_noninteger(12, (1, 1), value=value)
@@ -311,6 +324,42 @@ def test_given_value_is_what_each_rule_checks():
     for n, comp in ((8, (1,) * 8), (12, (1, 1)), (5, (1, 2)), (5, (3, 1)), (5, (1, 1))):
         with pytest.raises(RuntimeError, match="integer value 3 "):
             verify_odd_noninteger(n, comp, value=Fraction(3))
+        with pytest.raises(RuntimeError, match="integer value 3 "):
+            verify_odd_noninteger(n, comp, value=(6, 2))
+
+
+def _grid_cases():
+    """Both families over n <= 40, weight <= 8, with the fold's pairs."""
+    for spec, verifier in ((STRICT_ODD, verify_odd_noninteger),
+                           (STAR_ODD, verify_star_noninteger)):
+        for comp in compositions(8):
+            pairs = harmonic_sum_pairs(spec, comp, len(comp), 40)
+            for n, pair in enumerate(pairs, start=len(comp)):
+                yield verifier, n, comp, pair
+
+
+def test_pair_fraction_and_none_values_give_equal_certificates():
+    # the cascade reads a pair, unreduced or not, as it reads the Fraction,
+    # and both as it reads no value at all
+    kinds = set()
+    for verifier, n, comp, (num, den) in _grid_cases():
+        cert = verifier(n, comp, value=(num, den))
+        assert cert == verifier(n, comp, value=Fraction(num, den)), (n, comp)
+        assert cert == verifier(n, comp), (n, comp)
+        kinds.add(cert.kind)
+    assert kinds == {TRIVIAL_INTEGER, STAR_VALUATION, WINDOW_VALUATION, DEPTH_BOUND,
+                     MAGNITUDE_BOUND, LARGE_S1_BOUND, DIRECT_NON_INTEGER}
+    # rule 6 after the rule-3 fall-throughs, and where no window prime exists
+    for n, comp in ((26, (1, 1)), (10, (1, 1, 1)), (5, (1, 1)), (34, (1, 1, 1, 1))):
+        num, den = next(harmonic_sum_pairs(STRICT_ODD, comp, n, n))
+        cert = verify_odd_noninteger(n, comp, value=(num, den))
+        assert cert.kind == DIRECT_NON_INTEGER, (n, comp)
+        assert cert == verify_odd_noninteger(n, comp, value=Fraction(num, den))
+        assert cert == verify_odd_noninteger(n, comp)
+        # a reduced pair reads the same as the unreduced one
+        reduced = Fraction(num, den)
+        assert cert == verify_odd_noninteger(
+            n, comp, value=(reduced.numerator, reduced.denominator))
 
 
 def test_given_value_needs_no_primality_test(monkeypatch):
@@ -338,6 +387,21 @@ def test_given_value_of_another_type_is_refused(value):
              (verify_odd_noninteger, 12, (1, 1)), (verify_odd_noninteger, 5, (1, 2))]
     for verifier, n, comp in cases:
         with pytest.raises(TypeError, match="value must be"):
+            verifier(n, comp, value=value)
+
+
+@pytest.mark.parametrize("value, error", [
+    ((1,), TypeError), ((1, 2, 3), TypeError), ((1.0, 2), TypeError),
+    ((1, 2.0), TypeError), ([1, 2], TypeError), ((1, 0), ValueError),
+    ((1, -2), ValueError),
+])
+def test_given_malformed_pair_is_refused(value, error):
+    # refused at entry, even where no rule would read it (n = 1)
+    cases = [(verify_star_noninteger, 9, (2,)), (verify_odd_noninteger, 9, (2,)),
+             (verify_odd_noninteger, 12, (1, 1)), (verify_odd_noninteger, 5, (1, 2)),
+             (verify_odd_noninteger, 1, (5,)), (verify_star_noninteger, 1, (5,))]
+    for verifier, n, comp in cases:
+        with pytest.raises(error, match="value"):
             verifier(n, comp, value=value)
 
 

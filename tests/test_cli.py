@@ -2,12 +2,13 @@
 
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 
 import pytest
 
-from oddharmonic import hyper
+from oddharmonic import cli, hyper, primes
 from oddharmonic.certificates import verify_odd_noninteger, verify_star_noninteger
 from oddharmonic.cli import main
 from oddharmonic.sums import STRICT_ODD, STRICT_STANDARD, compositions, harmonic_sum
@@ -116,6 +117,12 @@ def test_sweep_deterministic_and_sound(capsys):
 
 
 EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+# The benchmark's sweep grid, n = 2..40 at weight <= 8: 9,423 lines per family.
+BENCH_GRID = ("--n-max", "40", "--weight-max", "8")
+BENCH_GRID_SHA256 = {
+    "--strict": "6bb292a0cc626b4e5314c134444627d6280ca433a3fbcdf2835bf0485d51b232",
+    "--star": "ee2b3dceeb819c64cac75ba74f8df378bc00f2cecf45e0480e9acb8450b6ae25",
+}
 
 
 # SHA-256 and line count of the stdout of each sweep, recorded when every
@@ -145,10 +152,8 @@ EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
     ("--star", ("--n-min", "-3", "--n-max", "4", "--weight-max", "5"),
      "287fe443c7e947c4b5a5fef5128e0e420fbc3459d5b9f0aeb1a487bbdf643305", 75),
     # the benchmark's sweep grid; the strict one has 127 LargeS1Bound lines
-    ("--strict", ("--n-max", "40", "--weight-max", "8"),
-     "6bb292a0cc626b4e5314c134444627d6280ca433a3fbcdf2835bf0485d51b232", 9423),
-    ("--star", ("--n-max", "40", "--weight-max", "8"),
-     "ee2b3dceeb819c64cac75ba74f8df378bc00f2cecf45e0480e9acb8450b6ae25", 9423),
+    ("--strict", BENCH_GRID, BENCH_GRID_SHA256["--strict"], 9423),
+    ("--star", BENCH_GRID, BENCH_GRID_SHA256["--star"], 9423),
 ])
 def test_sweep_output_digest(capsys, family, flags, digest, lines):
     code, out, err = run(capsys, "sweep", "--n-max", "12", "--weight-max", "6",
@@ -156,6 +161,69 @@ def test_sweep_output_digest(capsys, family, flags, digest, lines):
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == lines
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("family", ["--strict", "--star"])
+def test_sweep_builds_no_fraction_per_row(capsys, monkeypatch, family):
+    # each row's certificate reads the fold's unreduced pair
+    def refuse(*args):
+        raise AssertionError("sweep reduced a row to a Fraction")
+
+    monkeypatch.setattr("oddharmonic.cli.harmonic_sum_prefixes", refuse)
+    code, out, err = run(capsys, "sweep", *BENCH_GRID, family)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == BENCH_GRID_SHA256[family]
+
+
+@pytest.mark.parametrize("family", ["--strict", "--star"])
+def test_sweep_split_over_warm_caches_matches_one_call(capsys, family):
+    # the benchmark cuts each family's n-range into calls in one process;
+    # the prime and threshold caches they leave warm must not change a line
+    for cuts in ((3, 17, 30), (12, 13, 40), (5,), (39, 40)):
+        bounds = (2,) + cuts + (41,)
+        out = "".join(run(capsys, "sweep", "--n-min", str(lo), "--n-max", str(hi - 1),
+                          "--weight-max", "8", family)[1]
+                      for lo, hi in zip(bounds, bounds[1:]))
+        assert hashlib.sha256(out.encode()).hexdigest() == BENCH_GRID_SHA256[family], cuts
+    # a float is still refused by the cached prime lookups, not truncated
+    with pytest.raises(TypeError):
+        primes.bertrand_prime(7.0)
+    with pytest.raises(TypeError):
+        primes.window_prime(7.0, 2)
+    assert (primes.bertrand_prime(7), primes.window_prime(7, 2)) == (13, 5)
+
+
+def test_sweep_refuses_a_grid_over_its_memory_budget(capsys, monkeypatch):
+    # the estimate takes integers only: nothing is enumerated or folded
+    def refuse(*args):
+        raise AssertionError("sweep built its grid")
+
+    monkeypatch.setattr("oddharmonic.cli.compositions", refuse)
+    monkeypatch.setattr("oddharmonic.cli.harmonic_sum_pairs", refuse)
+    code, out, err = run(capsys, "sweep", "--n-max", "2000", "--weight-max", "20")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: sweep would hold about") and "MiB" in err, err
+    code, _, err = run(capsys, "sweep", "--n-max", "40", "--weight-max", "20",
+                       "--depth-max", "19", "--star")
+    assert code == 2 and "--weight-max" in err
+
+
+def test_sweep_memory_estimate():
+    # closed-form bit count against the bit lengths of 1, 3, ..., 2n-1
+    for n in range(1, 300):
+        assert cli._odd_product_bits(n) == sum(k.bit_length() for k in range(1, 2 * n, 2))
+    # the estimate covers the exact size of every fold's denominator
+    for n_max, weight_max, depth_max in ((12, 6, 6), (14, 6, 3), (40, 8, 8)):
+        odd_product = math.prod(range(1, 2 * n_max, 2))
+        exact = sum((len(c) + 1) * (odd_product ** sum(c)).bit_length()
+                    for c in compositions(weight_max, depth_max))
+        estimate = cli._sweep_state_bytes(2, n_max, weight_max, depth_max)
+        assert exact // 8 <= estimate <= exact // 8 * 1.2, (n_max, weight_max)
+    # the benchmark grid and every grid the tests sweep fit with room to spare
+    for grid in ((2, 40, 8, 8), (2, 12, 6, 6), (-3, 4, 5, 5), (1, 14, 6, 6)):
+        assert cli._sweep_state_bytes(*grid) < cli.SWEEP_STATE_LIMIT_BYTES // 100, grid
+    assert cli._sweep_state_bytes(13, 12, 6, 6) == 0
+    assert cli._sweep_state_bytes(2, 12, 0, 0) == 0
 
 
 @pytest.mark.parametrize("family, verifier", [("--strict", verify_odd_noninteger),

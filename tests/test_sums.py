@@ -22,6 +22,7 @@ from oddharmonic.sums import (
     dominates,
     harmonic_sum,
     harmonic_sum_brute,
+    harmonic_sum_pairs,
     harmonic_sum_prefixes,
     negative_valuation,
     ones_power_bound,
@@ -55,6 +56,26 @@ def test_composition_validation():
 def test_composition_repeat():
     assert Composition.repeat(1, 4).indices == (1, 1, 1, 1)
     assert Composition.repeat(2, 1).weight == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-9, 9).filter(bool), min_size=1, max_size=10).map(tuple))
+def test_composition_facts_are_computed_once_and_stay_private(entries):
+    # depth, weight, sign pattern, magnitudes and str are stored at
+    # construction; they must equal a recomputation, and ==, hash and repr
+    # must still see the indices alone
+    c = Composition(entries)
+    assert c.depth == len(entries)
+    assert c.weight == sum(abs(e) for e in entries)
+    assert c.all_positive == all(e > 0 for e in entries)
+    assert c.magnitudes() == tuple(abs(e) for e in entries)
+    assert str(c) == ",".join(str(e) for e in entries)
+    assert Composition.parse(str(c)) == c
+    twin = Composition(list(entries))
+    assert twin == c and hash(twin) == hash(c) == hash((entries,))
+    assert repr(c) == f"Composition(indices={entries!r})"
+    assert c != Composition(entries + (1,))
+    assert {c: 1}[Composition.coerce(",".join(map(str, entries)))] == 1
 
 
 def test_spec_validation():
@@ -229,6 +250,27 @@ def test_prefixes_validate_at_the_call():
     with pytest.raises((TypeError, ValueError)):
         harmonic_sum_prefixes(STAR_ODD, (1,), 1, 3.9)
     assert list(harmonic_sum_prefixes(STAR_ODD, "1,1", 2, 2)) == [F(13, 9)]
+
+
+def test_pairs_validate_at_the_call():
+    # the same checks as the prefixes, which are built on the pairs
+    for bad in (((1, 1, 1), 2, 9), ((1,), 0, 9), ((1,), 5, 4)):
+        with pytest.raises(ValueError):
+            harmonic_sum_pairs(STRICT_ODD, *bad)
+    with pytest.raises(ValueError):
+        harmonic_sum_pairs(STRICT_STANDARD, (1, -2), 2, 9)
+    with pytest.raises((TypeError, ValueError)):
+        harmonic_sum_pairs(STAR_ODD, (1,), 1.5, 3.9)
+    with pytest.raises((TypeError, ValueError)):
+        harmonic_sum_pairs(STAR_ODD, (1,), 1, 3.9)
+
+
+@pytest.mark.parametrize("spec, comp, n_min, n_max", PREFIX_CASES)
+def test_pairs_are_the_prefixes_unreduced(spec, comp, n_min, n_max):
+    pairs = list(harmonic_sum_pairs(spec, comp, n_min, n_max))
+    assert all(type(num) is int and type(den) is int and den > 0 for num, den in pairs)
+    assert [F(num, den) for num, den in pairs] == list(
+        harmonic_sum_prefixes(spec, comp, n_min, n_max))
 
 
 P61 = 2**61 - 1  # prime; every odd denominator below 4000 is a unit mod it
