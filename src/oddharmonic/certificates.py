@@ -299,7 +299,8 @@ def valuation_under_window(n: int, r: int, comp: CompositionLike, p: int) -> int
         raise ValueError(f"composition depth {comp.depth} != r = {r}")
     if not primes.is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    if p <= r + 1 or p * (r + 1) < 2 * n or p * r >= 2 * n:
+    lo, hi = primes._window(2 * n, r)
+    if not max(lo, r + 2) <= p <= hi:
         raise ValueError(f"p = {p} is not a window prime for n = {n}, r = {r}")
     v = negative_valuation(STRICT_ODD, n, comp, p)
     if v is None:

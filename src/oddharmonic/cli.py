@@ -169,19 +169,17 @@ def _cmd_table(args) -> int:
 
 def _cmd_bounds(args) -> int:
     checks = decimal_bound_checks(args.ones_max)
-    all_ok = True
+    all_ok = all(c.ok for c in checks)
     if args.format == "plain":
         for c in checks:
             status = "OK" if c.ok else "FAIL"
             print(f"odd sum n={c.n} comp={','.join(map(str, c.composition))} "
                   f"< {c.threshold}: {status}")
-            all_ok &= c.ok
     else:
         print("n,composition,threshold,ok,value")
         for c in checks:
             comp = " ".join(map(str, c.composition))
             print(f"{c.n},{comp},{c.threshold},{c.ok},{c.value}")
-            all_ok &= c.ok
     return 0 if all_ok else 1
 
 
@@ -330,8 +328,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="prime-window threshold table")
     p.add_argument("which", choices=("nr",))
     p.add_argument("--r-max", type=int, default=20)
-    p.add_argument("--cap", type=int, default=20000)
-    p.add_argument("--run", type=int, default=2000)
+    p.add_argument("--cap", type=int, default=primes.SCAN_CAP)
+    p.add_argument("--run", type=int, default=primes.SCAN_RUN)
     p.add_argument("--format", choices=("csv", "latex"), default="csv")
     p.set_defaults(func=_cmd_table)
 

@@ -1,17 +1,22 @@
 """Prime sieve and the prime-window searches behind the certificates.
 
-All interval comparisons are done with cross-multiplied integers, never
-with floating division: whether a prime sits in a window decides whether a
-certificate applies, and boundary cases matter.
+The window of a prime p at depth r is (r*p, (r+1)*p]; `_window` writes
+that inequality once, in cross-multiplied integers, never floating
+division: whether a prime sits in a window decides whether a certificate
+applies, and boundary cases matter.  Both ends of a window grow with p, so
+the integers no window covers lie below the window of 2 or between the
+windows of consecutive primes, and one pass over the sieve's list of
+primes reads off the threshold table.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import pairwise
 
 
 class Sieve:
@@ -32,14 +37,6 @@ class Sieve:
         if m > self.limit:
             raise ValueError(f"{m} exceeds sieve limit {self.limit}")
         return m >= 2 and bool(self.flags[m])
-
-    def primes_in(self, lo: int, hi: int) -> list[int]:
-        """Primes p with lo <= p <= hi."""
-        if hi > self.limit:
-            raise ValueError(f"{hi} exceeds sieve limit {self.limit}")
-        i = bisect_left(self.primes, lo)
-        j = bisect_right(self.primes, hi)
-        return self.primes[i:j]
 
 
 _shared = Sieve(1 << 14)
@@ -93,21 +90,31 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_between(lo: int, hi: int) -> list[int]:
-    """Primes in the closed interval [lo, hi]; every window query comes
-    here, so a bound such as 7.5 is refused (TypeError), not truncated."""
+def _largest_prime(lo: int, hi: int) -> int | None:
+    """Largest prime in [lo, hi], or None, by one bisect on the shared sieve.
+    Every window query comes here; a bound such as 7.5 is refused, not truncated."""
     lo, hi = operator.index(lo), operator.index(hi)
     if hi < 2 or hi < lo:
-        return []
-    return shared_sieve(hi).primes_in(lo, hi)
+        return None
+    ps = shared_sieve(hi).primes
+    p = ps[bisect_right(ps, hi) - 1]
+    return p if p >= lo else None
+
+
+def _window(m: int, r: int, closed_open: bool = False) -> tuple[int, int]:
+    """The range [lo, hi] of p with r*p < m <= (r+1)*p, or with
+    r*p <= m < (r+1)*p when closed_open; the window inequality in one place."""
+    m, r = operator.index(m), operator.index(r)
+    if closed_open:
+        return m // (r + 1) + 1, m // r  # p*(r+1) > m, p*r <= m
+    return -(-m // (r + 1)), (m - 1) // r  # p*(r+1) >= m, p*r < m
 
 
 def largest_prime_in(lo: int, hi: int) -> int | None:
     """Largest prime in the open interval (lo, hi), or None."""
     if lo >= hi:
         raise ValueError("empty interval")
-    ps = primes_between(lo + 1, hi - 1)
-    return ps[-1] if ps else None
+    return _largest_prime(lo + 1, hi - 1)
 
 
 @lru_cache(maxsize=4096, typed=True)  # typed: 7.0 must not hit the key 7
@@ -115,10 +122,7 @@ def bertrand_prime(n: int) -> int:
     """Largest prime p with n < p < 2n (exists for every n >= 2)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    p = largest_prime_in(n, 2 * n)
-    if p is None:  # impossible for n >= 2
-        raise RuntimeError(f"no prime in ({n}, {2 * n})")
-    return p
+    return largest_prime_in(n, 2 * n)
 
 
 @lru_cache(maxsize=4096, typed=True)
@@ -132,11 +136,8 @@ def window_prime(n: int, r: int) -> int | None:
     """
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
-    two_n = 2 * n
-    lo = -(-two_n // (r + 1))  # ceil(2n/(r+1))
-    hi = (two_n - 1) // r      # largest p with p*r < 2n
-    ps = primes_between(max(lo, r + 2), hi)
-    return ps[-1] if ps else None
+    lo, hi = _window(2 * n, r)
+    return _largest_prime(max(lo, r + 2), hi)
 
 
 def window_covers(m: int, r: int, *, closed_open: bool = False) -> bool:
@@ -147,13 +148,12 @@ def window_covers(m: int, r: int, *, closed_open: bool = False) -> bool:
     """
     if m < 1 or r < 1:
         raise ValueError("need m >= 1 and r >= 1")
-    if closed_open:
-        lo = m // (r + 1) + 1  # smallest p with p*(r+1) > m
-        hi = m // r            # largest p with p*r <= m
-    else:
-        lo = -(-m // (r + 1))  # smallest p with p*(r+1) >= m
-        hi = (m - 1) // r      # largest p with p*r < m
-    return bool(primes_between(lo, hi))
+    return _largest_prime(*_window(m, r, closed_open)) is not None
+
+
+# window_report's defaults, which give the threshold table n_r.
+SCAN_CAP = 20000
+SCAN_RUN = 2000
 
 
 @dataclass(frozen=True)
@@ -167,29 +167,29 @@ class WindowReport:
     verified_run: int
 
 
-def window_report(r: int, cap: int = 20000, run: int = 2000,
+def window_report(r: int, cap: int = SCAN_CAP, run: int = SCAN_RUN,
                   *, closed_open: bool = False) -> WindowReport:
-    """Scan m = 1..cap for coverage, report the largest uncovered m.
+    """The largest m <= cap covered by no window (r*p, (r+1)*p].
+
+    Both ends of a window grow with p, so the uncovered integers are 1..2r
+    and, for consecutive primes p < q with (r+1)*p < r*q, the gap
+    ((r+1)*p, r*q].  With closed_open=True the windows are [r*p, (r+1)*p)
+    and each of those ranges shifts down by one, losing its right end.
 
     The `run` integers above the reported maximum are all covered, which
     is the evidence standard for treating the maximum as final.  Raises
     if cap leaves no room to verify that run.
     """
+    r, cap, run = operator.index(r), operator.index(cap), operator.index(run)
     if r < 1 or run < 1 or cap <= run:
         raise ValueError("need r >= 1, run >= 1 and cap > run")
-    member = bytearray(cap + 1)
-    for p in shared_sieve(cap).primes:
-        start = r * p if closed_open else r * p + 1
-        if start > cap:
+    shift = 1 if closed_open else 0
+    m = min(2 * r - shift, cap)
+    for p, q in pairwise(shared_sieve(cap).primes):
+        if (r + 1) * p + 1 - shift > cap:  # this gap and all later ones start above cap
             break
-        stop = (r + 1) * p - 1 if closed_open else (r + 1) * p
-        stop = min(stop, cap)
-        member[start : stop + 1] = b"\x01" * (stop - start + 1)
-    m = cap
-    while m >= 1 and member[m]:
-        m -= 1
-    if m == 0:
-        raise ValueError(f"no uncovered integer up to cap={cap}")
+        if (r + 1) * p < r * q:
+            m = min(r * q - shift, cap)
     if m > cap - run:
         raise ValueError(
             f"cap={cap} too small: largest uncovered {m} leaves no room "
@@ -198,10 +198,10 @@ def window_report(r: int, cap: int = 20000, run: int = 2000,
     return WindowReport(r=r, max_nonmember=m, threshold=m // 2 + 1, verified_run=run)
 
 
-@lru_cache(maxsize=None)
-def window_threshold(r: int, cap: int = 20000, run: int = 2000) -> int:
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 must not hit the key 2
+def window_threshold(r: int) -> int:
     """Smallest n above which a window prime exists for depth r (scanned)."""
-    return window_report(r, cap, run).threshold
+    return window_report(r).threshold
 
 
 def threshold_guard(r: int) -> bool:

@@ -83,21 +83,23 @@ def test_is_prime_refuses_non_integers():
     for call in (lambda: bertrand_prime(7.5), lambda: largest_prime_in(2.5, 10),
                  lambda: window_prime(12.5, 2), lambda: window_covers(7.5, 2),
                  lambda: depth_threshold_holds(7.5, 2), lambda: depth_threshold_holds(7, 2.0),
-                 lambda: Sieve(7.5)):
+                 lambda: Sieve(7.5), lambda: window_report(2.5),
+                 lambda: window_report(2, 20000.0), lambda: window_report(2, 20000, 2000.0)):
         with pytest.raises(TypeError):
             call()
     assert not depth_threshold_holds(7, 2)  # now cached under the key (7, 2)
-    with pytest.raises(TypeError):
-        depth_threshold_holds(7.0, 2)
+    assert window_threshold(2) == 12        # and this under the key 2
+    for call in (lambda: depth_threshold_holds(7.0, 2), lambda: window_threshold(2.0)):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_bertrand_prime():
     assert bertrand_prime(2) == 3
     assert bertrand_prime(3) == 5
     assert bertrand_prime(12) == 23
-    for n in range(2, 400):
-        p = bertrand_prime(n)
-        assert n < p < 2 * n and _trial_division(p)
+    for n in range(2, 400):  # the largest prime in (n, 2n), not merely one
+        assert bertrand_prime(n) == max(p for p in range(n + 1, 2 * n) if _trial_division(p))
 
 
 def test_largest_prime_in():
@@ -116,14 +118,13 @@ def test_window_prime_examples():
 
 
 def test_window_prime_conditions_hold():
+    # the largest qualifying prime, so a search landing one prime low fails
     for r in range(1, 8):
         for n in range(r, 300):
-            p = window_prime(n, r)
-            if p is not None:
-                assert _trial_division(p)
-                assert p > r + 1
-                assert p * (r + 1) >= 2 * n
-                assert p * r < 2 * n
+            expected = max((p for p in range(r + 2, 2 * n)
+                            if p * (r + 1) >= 2 * n and p * r < 2 * n and _trial_division(p)),
+                           default=None)
+            assert window_prime(n, r) == expected, (n, r)
 
 
 def test_window_covers_examples():
@@ -155,6 +156,51 @@ def test_window_report_small():
 def test_window_report_cap_too_small():
     with pytest.raises(ValueError):
         window_report(2, cap=30, run=20)
+
+
+def _marking_scan(r, cap, run, closed_open):
+    """Reference for window_report: mark every integer up to cap that some
+    window covers, then walk down from cap to the first unmarked one."""
+    if r < 1 or run < 1 or cap <= run:
+        raise ValueError("need r >= 1, run >= 1 and cap > run")
+    member = bytearray(cap + 1)
+    for p in Sieve(cap).primes:
+        start = r * p if closed_open else r * p + 1
+        if start > cap:
+            break
+        stop = (r + 1) * p - 1 if closed_open else (r + 1) * p
+        stop = min(stop, cap)
+        member[start : stop + 1] = b"\x01" * (stop - start + 1)
+    m = cap
+    while m >= 1 and member[m]:
+        m -= 1
+    if m == 0:
+        raise ValueError(f"no uncovered integer up to cap={cap}")
+    if m > cap - run:
+        raise ValueError(
+            f"cap={cap} too small: largest uncovered {m} leaves no room "
+            f"for a verified run of {run}"
+        )
+    return m
+
+
+def _outcome(scan, *args):
+    try:
+        return scan(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_window_report_matches_marking_scan():
+    def gap_rule(r, cap, run, closed_open):
+        return window_report(r, cap, run, closed_open=closed_open).max_nonmember
+
+    for closed_open in (False, True):
+        for r in range(1, 26):
+            for cap in [*range(2, 301), 20000]:
+                for run in (1, 20, 2000):
+                    args = (r, cap, run, closed_open)
+                    assert _outcome(gap_rule, *args) == _outcome(_marking_scan, *args), args
 
 
 def test_closed_open_variant_shifts_maximum_by_one():
