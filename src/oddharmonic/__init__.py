@@ -22,7 +22,6 @@ from .exact import (
     PLUS_INFINITY,
     Valuation,
     as_rational,
-    double_factorial,
     int_valuation,
     padic_valuation,
     pochhammer,
@@ -50,7 +49,6 @@ from .primes import (
     WindowReport,
     bertrand_prime,
     is_prime,
-    largest_prime_in,
     threshold_guard,
     window_covers,
     window_prime,

@@ -17,7 +17,7 @@ Rules 1 and 3 fold the sum modulo a power of their prime, which decides
 the valuation exactly without the value (`sums.negative_valuation`); a
 caller that already holds the value has it read off that instead, as the
 valuation of its numerator minus that of its denominator.  Their primes
-come from the sieve, so neither reading tests primality again.
+come from the prime searches in `primes`, so neither reading tests primality again.
 Whenever the exact value is cheap enough to recompute, the engine checks
 non-integrality directly for the bound rules (2, 4 and 5) as well.
 Inside the cascade a value is an integer pair (num, den) with den > 0,
@@ -241,7 +241,7 @@ def _negative_valuation(spec: SumSpec, n: int, comp: Composition, p: int,
                         value: Pair | None) -> int | None:
     """v_p of the sum if it is negative, else None.  A given value is read
     with integers, numerator valuation minus denominator valuation; p
-    comes from the sieve, so it is not tested again.  Without a value the
+    comes from a prime search, so it is not tested again.  Without a value the
     sum is folded modulo a power of p."""
     if value is None:
         return negative_valuation(spec, n, comp, p)

@@ -41,7 +41,7 @@ def int_valuation(m: int, p: int) -> Valuation:
     """Exponent of p in the integer m; PLUS_INFINITY for m = 0.
 
     Nothing is checked: p must already be known to be prime, as the
-    primes of the sieve and the prime windows are.  `padic_valuation`
+    Bertrand and window primes of `primes` are.  `padic_valuation`
     is the checked entry point for any rational.
     """
     if m == 0:
@@ -73,13 +73,3 @@ def pochhammer(a, i: int) -> Fraction:
     a = as_rational(a)
     p, q = a.numerator, a.denominator
     return Fraction(math.prod(p + j * q for j in range(i)), q ** i)
-
-
-def double_factorial(n: int) -> int:
-    """n!! = n(n-2)(n-4)..., with 0!! = (-1)!! = 1."""
-    if n < -1:
-        raise ValueError("need n >= -1")
-    result = 1
-    for m in range(n, 1, -2):
-        result *= m
-    return result

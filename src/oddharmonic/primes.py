@@ -1,4 +1,9 @@
-"""Prime sieve and the prime-window searches behind the certificates.
+"""Primality, Bertrand primes and the prime windows behind the certificates.
+
+Primality has one source: a sieve table up to `SCAN_CAP`, built at import
+and never regrown, and above it the strong probable-prime test.  A
+largest-prime query walks down from the top of its range through
+`is_prime`, so it stops within one prime gap and builds no sieve.
 
 The window of a prime p at depth r is (r*p, (r+1)*p]; `_window` writes
 that inequality once, in cross-multiplied integers, never floating
@@ -13,10 +18,15 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import pairwise
+
+
+# window_report's defaults, which give the threshold table n_r; the sieve
+# table that is_prime reads also ends at SCAN_CAP.
+SCAN_CAP = 20000
+SCAN_RUN = 2000
 
 
 class Sieve:
@@ -39,15 +49,7 @@ class Sieve:
         return m >= 2 and bool(self.flags[m])
 
 
-_shared = Sieve(1 << 14)
-
-
-def shared_sieve(limit: int = 0) -> Sieve:
-    """The process-wide sieve, regrown geometrically when a query needs more."""
-    global _shared
-    if limit > _shared.limit:
-        _shared = Sieve(max(limit, 2 * _shared.limit))
-    return _shared
+_TABLE = Sieve(SCAN_CAP)
 
 
 # The strong probable-prime test to the prime bases 2..41 is exact below
@@ -58,8 +60,8 @@ _STRONG_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality: the shared sieve up to its limit, above it
-    the strong test to the prime bases 2..41, which never grows the sieve.
+    """Deterministic primality: the sieve table up to its limit, above it
+    the strong test to the prime bases 2..41, with no sieve built.
 
     Raises ValueError at or above 3.317e24, where those bases are no
     longer proven exact, and TypeError for a non-integer n such as 7.5,
@@ -68,8 +70,8 @@ def is_prime(n: int) -> bool:
     n = operator.index(n)
     if n < 2:
         return False
-    if n <= _shared.limit:
-        return _shared.is_prime(n)
+    if n <= _TABLE.limit:
+        return _TABLE.is_prime(n)
     if n >= _STRONG_LIMIT:
         raise ValueError(f"primality of {n} is decided only below {_STRONG_LIMIT}")
     if any(n % a == 0 for a in _STRONG_BASES):  # n > 41 here
@@ -91,14 +93,14 @@ def is_prime(n: int) -> bool:
 
 
 def _largest_prime(lo: int, hi: int) -> int | None:
-    """Largest prime in [lo, hi], or None, by one bisect on the shared sieve.
-    Every window query comes here; a bound such as 7.5 is refused, not truncated."""
+    """Largest prime in [lo, hi], or None, by a walk down from hi through
+    `is_prime`, which ends within one prime gap.  Every window query comes
+    here; a bound such as 7.5 is refused, not truncated."""
     lo, hi = operator.index(lo), operator.index(hi)
-    if hi < 2 or hi < lo:
-        return None
-    ps = shared_sieve(hi).primes
-    p = ps[bisect_right(ps, hi) - 1]
-    return p if p >= lo else None
+    for m in range(hi, max(lo, 2) - 1, -1):
+        if is_prime(m):
+            return m
+    return None
 
 
 def _window(m: int, r: int, closed_open: bool = False) -> tuple[int, int]:
@@ -110,19 +112,12 @@ def _window(m: int, r: int, closed_open: bool = False) -> tuple[int, int]:
     return -(-m // (r + 1)), (m - 1) // r  # p*(r+1) >= m, p*r < m
 
 
-def largest_prime_in(lo: int, hi: int) -> int | None:
-    """Largest prime in the open interval (lo, hi), or None."""
-    if lo >= hi:
-        raise ValueError("empty interval")
-    return _largest_prime(lo + 1, hi - 1)
-
-
 @lru_cache(maxsize=4096, typed=True)  # typed: 7.0 must not hit the key 7
 def bertrand_prime(n: int) -> int:
     """Largest prime p with n < p < 2n (exists for every n >= 2)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    return largest_prime_in(n, 2 * n)
+    return _largest_prime(n + 1, 2 * n - 1)
 
 
 @lru_cache(maxsize=4096, typed=True)
@@ -151,9 +146,9 @@ def window_covers(m: int, r: int, *, closed_open: bool = False) -> bool:
     return _largest_prime(*_window(m, r, closed_open)) is not None
 
 
-# window_report's defaults, which give the threshold table n_r.
-SCAN_CAP = 20000
-SCAN_RUN = 2000
+# A sieve for a window_report cap above the table; the last one is kept, so
+# a table of many r at one cap sieves once.
+_large_sieve = lru_cache(maxsize=1)(Sieve)
 
 
 @dataclass(frozen=True)
@@ -185,7 +180,8 @@ def window_report(r: int, cap: int = SCAN_CAP, run: int = SCAN_RUN,
         raise ValueError("need r >= 1, run >= 1 and cap > run")
     shift = 1 if closed_open else 0
     m = min(2 * r - shift, cap)
-    for p, q in pairwise(shared_sieve(cap).primes):
+    sieve = _TABLE if cap <= _TABLE.limit else _large_sieve(cap)
+    for p, q in pairwise(sieve.primes):
         if (r + 1) * p + 1 - shift > cap:  # this gap and all later ones start above cap
             break
         if (r + 1) * p < r * q:

@@ -239,14 +239,15 @@ def test_leading_exponent_bound_range_checks():
 
 def test_leading_exponent_bound_matches_reduced_valuations():
     # the bound takes v_p on unreduced (numerator, denominator) pairs; a
-    # reference on the reduced brute-force coefficients must agree
-    from oddharmonic.primes import largest_prime_in
+    # reference on the reduced brute-force coefficients must agree; its
+    # prime, the largest in (n-r+1, 2n-2r+2), comes from trial division
     for n in range(3, 15):
         for tail in compositions(4):
             r = len(tail) + 1
             if r >= n:
                 continue
-            p = largest_prime_in(n - r + 1, 2 * n - 2 * r + 2)
+            p = max(q for q in range(n - r + 2, 2 * n - 2 * r + 2)
+                    if all(q % d for d in range(2, q)))
             vals = [padic_valuation(_tail_coeff_brute(n, tail, k1), p)
                     for k1 in range(n - r + 1)]
             v_ref = vals.pop((p - 1) // 2)
@@ -363,7 +364,7 @@ def test_pair_fraction_and_none_values_give_equal_certificates():
 
 
 def test_given_value_needs_no_primality_test(monkeypatch):
-    # the primes of rules 1 and 3 come from the sieve; a given value is
+    # the primes of rules 1 and 3 come from prime searches; a given value is
     # read at them with integers, so is_prime is never asked again
     cases = [(verify_star_noninteger, STAR_ODD, 9, (2,)),
              (verify_odd_noninteger, STRICT_ODD, 9, (2,)),

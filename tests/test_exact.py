@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from oddharmonic.exact import (
     PLUS_INFINITY,
     as_rational,
-    double_factorial,
     int_valuation,
     padic_valuation,
     pochhammer,
@@ -110,17 +109,6 @@ def test_pochhammer_matches_reference(a):
 @given(rationals, st.integers(0, 8))
 def test_pochhammer_recurrence(a, i):
     assert pochhammer(a, i + 1) == pochhammer(a, i) * (a + i)
-
-
-def test_double_factorial():
-    assert double_factorial(5) == 15
-    assert double_factorial(1) == 1
-    assert double_factorial(0) == 1
-    assert double_factorial(-1) == 1
-    assert double_factorial(9) == 945
-    assert double_factorial(10) == 2 * 4 * 6 * 8 * 10
-    with pytest.raises(ValueError):
-        double_factorial(-2)
 
 
 def test_canonical_string_round_trip():

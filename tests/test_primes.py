@@ -10,7 +10,6 @@ from oddharmonic.primes import (
     Sieve,
     bertrand_prime,
     is_prime,
-    largest_prime_in,
     threshold_guard,
     window_covers,
     window_prime,
@@ -39,21 +38,21 @@ def test_sieve_agrees_with_trial_division():
 def test_is_prime_beyond_sieve():
     assert is_prime(104729)          # 10000th prime
     assert not is_prime(104729 * 3)
-    limit = primes._shared.limit
+    limit = primes._TABLE.limit
     assert is_prime(10**14 + 31)
     assert not is_prime(10**14 + 33)
-    assert primes._shared.limit == limit   # the sieve does not grow to 10**7
+    assert primes._TABLE.limit == limit   # the table does not grow to 10**7
     assert not is_prime(1)
     assert not is_prime(0)
 
 
 def test_strong_test_agrees_with_a_sieve(monkeypatch):
-    # a fresh shared sieve of the default size, so every m here is above it
-    monkeypatch.setattr(primes, "_shared", Sieve(1 << 14))
+    # a table of 2**14, so every m here goes through the strong test
+    monkeypatch.setattr(primes, "_TABLE", Sieve(1 << 14))
     sieve = Sieve(200_000)
     for m in range(16_385, 200_001):
         assert is_prime(m) == sieve.is_prime(m), m
-    assert primes._shared.limit == 1 << 14
+    assert primes._TABLE.limit == 1 << 14
 
 
 def test_strong_pseudoprimes_to_small_bases_are_composite():
@@ -80,8 +79,8 @@ def test_is_prime_refuses_non_integers():
             is_prime(n)
     assert is_prime(7)
     # the window queries and the sieve refuse them the same way
-    for call in (lambda: bertrand_prime(7.5), lambda: largest_prime_in(2.5, 10),
-                 lambda: window_prime(12.5, 2), lambda: window_covers(7.5, 2),
+    for call in (lambda: bertrand_prime(7.5), lambda: window_prime(12.5, 2),
+                 lambda: window_covers(7.5, 2),
                  lambda: depth_threshold_holds(7.5, 2), lambda: depth_threshold_holds(7, 2.0),
                  lambda: Sieve(7.5), lambda: window_report(2.5),
                  lambda: window_report(2, 20000.0), lambda: window_report(2, 20000, 2000.0)):
@@ -102,12 +101,33 @@ def test_bertrand_prime():
         assert bertrand_prime(n) == max(p for p in range(n + 1, 2 * n) if _trial_division(p))
 
 
-def test_largest_prime_in():
-    assert largest_prime_in(2, 4) == 3
-    assert largest_prime_in(8, 9) is None
-    assert largest_prime_in(1, 3) == 2
+def test_prime_queries_match_a_sieve_above_the_table():
+    # n here is past the table, so every query runs the strong test
+    sieve = Sieve(2 * 50_300)
+    near = [p for p in sieve.primes if p > 50_000]
+    for n in range(50_000, 50_301):
+        assert bertrand_prime(n) == max(p for p in near if n < p < 2 * n), n
+    for r in range(1, 6):
+        near = [p for p in sieve.primes if 100_000 <= p * (r + 1) and p * r < 100_600]
+        for n in range(50_000, 50_301):
+            expected = max((p for p in near
+                            if p > r + 1 and p * (r + 1) >= 2 * n and p * r < 2 * n),
+                           default=None)
+            assert window_prime(n, r) == expected, (n, r)
+
+
+def test_prime_queries_never_grow_the_table():
+    table = primes._TABLE
+    assert bertrand_prime(10**6) == 1_999_993
+    assert window_prime(10**6, 3) == 666_649
+    assert is_prime(10**14 + 31)
+    assert primes._TABLE is table and table.limit == primes.SCAN_CAP
+
+
+def test_bertrand_prime_past_the_proven_bound():
+    # 2n - 1 is past the strong test's bound: refused, with no sieve built
     with pytest.raises(ValueError):
-        largest_prime_in(5, 5)
+        bertrand_prime(2 * 10**24)
 
 
 def test_window_prime_examples():
@@ -191,16 +211,28 @@ def _outcome(scan, *args):
         return str(exc)
 
 
-def test_window_report_matches_marking_scan():
-    def gap_rule(r, cap, run, closed_open):
-        return window_report(r, cap, run, closed_open=closed_open).max_nonmember
+def _gap_rule(r, cap, run, closed_open):
+    return window_report(r, cap, run, closed_open=closed_open).max_nonmember
 
+
+def test_window_report_matches_marking_scan():
     for closed_open in (False, True):
         for r in range(1, 26):
             for cap in [*range(2, 301), 20000]:
                 for run in (1, 20, 2000):
                     args = (r, cap, run, closed_open)
-                    assert _outcome(gap_rule, *args) == _outcome(_marking_scan, *args), args
+                    assert _outcome(_gap_rule, *args) == _outcome(_marking_scan, *args), args
+
+
+def test_window_report_above_the_table_matches_marking_scan():
+    cap = 30_000
+    assert cap > primes._TABLE.limit
+    built = primes._large_sieve.cache_info().misses
+    for closed_open in (False, True):
+        for r in range(1, 26):
+            args = (r, cap, 2000, closed_open)
+            assert _outcome(_gap_rule, *args) == _outcome(_marking_scan, *args), args
+    assert primes._large_sieve.cache_info().misses <= built + 1  # one sieve for every r
 
 
 def test_closed_open_variant_shifts_maximum_by_one():
