@@ -15,8 +15,10 @@ forces valuation -weight.  The strict family runs a fixed cascade:
 Ties resolve to the earliest rule, so certificates are reproducible.
 Rules 1 and 3 fold the sum modulo a power of their prime, which decides
 the valuation exactly without the value (`sums.negative_valuation`); a
-caller that already holds the value has it read off that instead, as the
-valuation of its numerator minus that of its denominator.  Their primes
+caller that already holds the value has it read off that instead: modulo
+the same power of p when its denominator has the fold's closed-form
+valuation, as the fold's own pairs do, and otherwise as the valuation of
+its numerator minus that of its denominator.  Their primes
 come from the prime searches in `primes`, so neither reading tests primality again.
 Whenever the exact value is cheap enough to recompute, the engine checks
 non-integrality directly for the bound rules (2, 4 and 5) as well.
@@ -55,7 +57,9 @@ from .sums import (
     CompositionLike,
     STRICT_ODD,
     STAR_ODD,
+    PrefixTrie,
     SumSpec,
+    _den_valuation,
     _fold,
     dominates,
     harmonic_sum,
@@ -124,6 +128,22 @@ class Certificate:
             doc["best_effort"] = True
         return doc
 
+    def json_line(self) -> str:
+        """json.dumps(self.to_json()), written out in one f-string.
+
+        Every value is an int, null, true or a string that JSON writes
+        as it is: a kind name, a composition's digits and commas, or a
+        bound's digits, sign and slash.
+        """
+        prime = "null" if self.prime is None else self.prime
+        valuation = "null" if self.valuation is None else self.valuation
+        bound = "null" if self.bound is None else f'"{self.bound!s}"'
+        tail = ', "best_effort": true' if self.best_effort else ""
+        return (f'{{"kind": "{self.kind}", "n": {self.n}, '
+                f'"composition": "{self.composition!s}", "prime": {prime}, '
+                f'"valuation": {valuation}, "bound": {bound}, '
+                f'"rule_index": {self.rule_index}{tail}}}')
+
 
 def _tail_pairs(n: int, tail: CompositionLike) -> list[tuple[int, int]]:
     """c[k] = sum over k < k_2 < ... < k_r <= n-1 of the tail factors, so
@@ -137,8 +157,9 @@ def _tail_pairs(n: int, tail: CompositionLike) -> list[tuple[int, int]]:
     r = tail.depth + 1
     if not 2 <= r <= n:
         raise ValueError(f"need depth 2 <= {r} <= n = {n}")
-    pairs = _fold(STRICT_ODD, Composition(tail.indices[::-1]), range(n - 1, 0, -1), r - 2)
-    return list(pairs)[::-1]
+    chain = PrefixTrie.chain(STRICT_ODD, Composition(tail.indices[::-1]))
+    pairs = [(v[-1], den) for v, den in _fold(STRICT_ODD, chain, range(n - 1, 0, -1), r - 2)]
+    return pairs[::-1]
 
 
 def tail_coefficients(n: int, tail: CompositionLike) -> tuple[Fraction, ...]:
@@ -239,13 +260,26 @@ def _checked_case(spec: SumSpec, n: int, comp: CompositionLike,
 
 def _negative_valuation(spec: SumSpec, n: int, comp: Composition, p: int,
                         value: Pair | None) -> int | None:
-    """v_p of the sum if it is negative, else None.  A given value is read
-    with integers, numerator valuation minus denominator valuation; p
-    comes from a prime search, so it is not tested again.  Without a value the
-    sum is folded modulo a power of p."""
+    """v_p of the sum if it is negative, else None; p comes from a prime
+    search, so it is not tested again.  Without a value the sum is folded
+    modulo a power of p.
+
+    A given pair is first tried as the fold's own: when its denominator
+    has exactly the fold's closed-form valuation e, which one remainder
+    modulo p**(e+1) shows, the numerator modulo p**e decides, as in
+    `sums.negative_valuation`.  Any other pair, a reduced Fraction for
+    one, is read with integers, numerator valuation minus denominator
+    valuation."""
     if value is None:
         return negative_valuation(spec, n, comp, p)
-    v = int_valuation(value[0], p) - int_valuation(value[1], p)
+    num, den = value
+    e = _den_valuation(spec, n, comp, p)
+    pe = p ** e
+    rest = den % (pe * p)
+    if rest and not rest % pe:  # v_p(den) == e
+        x = num % pe
+        return int_valuation(x, p) - e if x else None
+    v = int_valuation(num, p) - int_valuation(den, p)
     return v if v < 0 else None
 
 

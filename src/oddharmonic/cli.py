@@ -24,10 +24,11 @@ from .sums import (
     STRICT_ODD,
     STRICT_STANDARD,
     Composition,
+    PrefixTrie,
     SumSpec,
+    _fold,
     compositions,
     harmonic_sum,
-    harmonic_sum_pairs,
     harmonic_sum_prefixes,
 )
 
@@ -75,7 +76,7 @@ def _cmd_verify(args) -> int:
         print(f"{cert.kind} n={cert.n} comp={cert.composition} "
               f"prime={cert.prime} valuation={cert.valuation} bound={cert.bound}")
     else:
-        print(json.dumps(cert.to_json()))
+        print(cert.json_line())
     if cert.kind == TRIVIAL_INTEGER and cert.n != 1:
         return 1
     return 0
@@ -96,54 +97,83 @@ def _odd_product_bits(n: int) -> int:
     return bits
 
 
-def _sweep_state_bytes(n_min: int, n_max: int, weight_max: int, depth_max: int) -> int:
-    """Estimated size of the integers the sweep's folds hold at n_max.
+def _sweep_state_bytes(n_min: int, n_max: int, weight_max: int, depth_max: int,
+                       star: bool) -> int:
+    """Estimated size of the integers the sweep's tries hold at n_max.
 
-    There are C(w-1, d-1) compositions of weight w and depth d; each fold
-    holds d+1 integers of about the bit length of its unreduced
-    denominator, the product of (2k+1)**w over k < n_max at most.
-    Nothing is enumerated or evaluated.
+    Each has at most the bit length of its trie's unreduced denominator,
+    the product of (2k+1)**m over k < n_max for a trie of key m.  A trie
+    holds the empty prefix, a star trie also its denominator, and each
+    composition of weight w and depth d (there are C(w-1, d-1)) is a node
+    of the trie of its own key and, below the depth limit, of each trie
+    it reaches with one more entry: star keys W in (w, weight_max],
+    strict keys m <= weight_max - w at most.  So its nodes' keys sum to
+    w + T(weight_max) - T(w) for star sums and to at most w +
+    T(weight_max - w) for strict ones, T(x) = x(x+1)/2.  Nothing is
+    enumerated or evaluated.
     """
-    if n_min > n_max:
+    if n_min > n_max or min(weight_max, depth_max) < 1:
         return 0
-    bits_per_weight = _odd_product_bits(n_max)
-    bits = sum(math.comb(w - 1, d - 1) * (d + 1) * w * bits_per_weight
-               for w in range(1, weight_max + 1)
-               for d in range(1, min(w, depth_max, n_max) + 1))
-    return bits // 8
+    bits_per_key = _odd_product_bits(n_max)
+    depth = min(depth_max, n_max)
+
+    def triangle(x: int) -> int:
+        return x * (x + 1) // 2
+
+    keys = triangle(weight_max) * (2 if star else 1)  # the empty prefixes
+    for w in range(1, weight_max + 1):
+        above = triangle(weight_max) - triangle(w) if star else triangle(weight_max - w)
+        keys += sum(math.comb(w - 1, d - 1) * (w + (above if d < depth else 0))
+                    for d in range(1, min(w, depth) + 1))
+    return keys * bits_per_key // 8
+
+
+def _sweep_grid(spec: SumSpec, n_lo: int, weight_max: int, depth_max: int):
+    """One prefix trie per key, and in graded-lex order one row (comp,
+    first n, trie, node) per composition of the grid."""
+    tries, rows = {}, []
+    for comp_t in compositions(weight_max, depth_max):
+        comp = Composition(comp_t)
+        key = PrefixTrie.key_of(spec, comp)
+        if key not in tries:
+            tries[key] = PrefixTrie(key)
+        trie = tries[key]
+        rows.append((comp, max(n_lo, comp.depth), trie, trie.add(comp)))
+    return list(tries.values()), rows
 
 
 def _cmd_sweep(args) -> int:
     spec, verifier = ((STAR_ODD, verify_star_noninteger) if args.ordering == "star"
                       else (STRICT_ODD, verify_odd_noninteger))
     depth_max = args.depth_max if args.depth_max is not None else args.weight_max
-    state = _sweep_state_bytes(args.n_min, args.n_max, args.weight_max, depth_max)
+    state = _sweep_state_bytes(args.n_min, args.n_max, args.weight_max, depth_max, spec.star)
     if state > SWEEP_STATE_LIMIT_BYTES:
         raise ValueError(f"sweep would hold about {state >> 20} MiB of fold state, over "
                          f"its limit of {SWEEP_STATE_LIMIT_BYTES >> 20} MiB; "
                          "lower --n-max, --weight-max or --depth-max")
-    # One fold per composition, advanced in lockstep over n; a composition
-    # has rows from n = its depth on.  Each row's certificate reads the
-    # fold's unreduced (num, den) pair: no Fraction is built.
-    groups = []
-    for comp_t in compositions(args.weight_max, min(depth_max, args.n_max)):
-        start = max(args.n_min, len(comp_t))
-        if start <= args.n_max:
-            comp = Composition(comp_t)
-            groups.append((comp, start, harmonic_sum_pairs(spec, comp, start, args.n_max)))
-    failures = 0
-    for n in range(args.n_min, args.n_max + 1):
-        for comp, start, pairs in groups:
+    n_lo = max(args.n_min, 1)
+    if n_lo > args.n_max:
+        return 0
+    # The compositions sharing a key share one trie, and the tries advance
+    # in lockstep over n; a composition has rows from n = its depth on.
+    # Each row's certificate reads its node's unreduced (num, den) pair:
+    # no Fraction is built.
+    tries, rows = _sweep_grid(spec, n_lo, args.weight_max, min(depth_max, args.n_max))
+    folds = [_fold(spec, trie, range(args.n_max), n_lo - 1) for trie in tries]
+    write, failures = sys.stdout.write, 0
+    for n in range(n_lo, args.n_max + 1):
+        states = {trie: next(fold) for trie, fold in zip(tries, folds)}
+        for comp, start, trie, node in rows:
             if n < start:
                 continue
-            value = next(pairs)
+            v, den = states[trie]
             try:
-                cert = verifier(n, comp, value=value)
+                cert = verifier(n, comp, value=(v[node], den))
             except RuntimeError as exc:
                 print(f"FAIL n={n} comp={comp}: {exc}", file=sys.stderr)
                 failures += 1
                 continue
-            print(json.dumps(cert.to_json()))
+            write(cert.json_line() + "\n")
     return 1 if failures else 0
 
 

@@ -147,8 +147,11 @@ def window_covers(m: int, r: int, *, closed_open: bool = False) -> bool:
 
 
 # A sieve for a window_report cap above the table; the last one is kept, so
-# a table of many r at one cap sieves once.
+# a table of many r at one cap sieves once.  Caps above REPORT_CAP_MAX are
+# refused before any sieve is built: the sieve's time and memory grow with
+# the cap, to most of a second and tens of MB at 10**7.
 _large_sieve = lru_cache(maxsize=1)(Sieve)
+REPORT_CAP_MAX = 10**7
 
 
 @dataclass(frozen=True)
@@ -173,11 +176,13 @@ def window_report(r: int, cap: int = SCAN_CAP, run: int = SCAN_RUN,
 
     The `run` integers above the reported maximum are all covered, which
     is the evidence standard for treating the maximum as final.  Raises
-    if cap leaves no room to verify that run.
+    if cap leaves no room to verify that run, or exceeds REPORT_CAP_MAX.
     """
     r, cap, run = operator.index(r), operator.index(cap), operator.index(run)
     if r < 1 or run < 1 or cap <= run:
         raise ValueError("need r >= 1, run >= 1 and cap > run")
+    if cap > REPORT_CAP_MAX:
+        raise ValueError(f"cap={cap} is above the largest scan cap, {REPORT_CAP_MAX}")
     shift = 1 if closed_open else 0
     m = min(2 * r - shift, cap)
     sieve = _TABLE if cap <= _TABLE.limit else _large_sieve(cap)

@@ -6,19 +6,21 @@ denominators 2k+1, positions k = 0..n-1), and a composition of exponents.
 Composition entries are nonzero integers; a negative entry -s stands for
 the alternating exponent: its factor is (-1)**k / base(k)**s.
 
-Evaluation is one integer fold over the indices in the order its caller
-gives: r+1 numerators over one common denominator hold the sums of every
-depth, each step is one multiply-add per depth by small powers of
+Evaluation is one integer fold of a prefix trie over the indices in the
+order its caller gives: every node of the trie adds one entry to its
+parent, and each step is one multiply-add per node by small powers of
 base(k) (star sums keep their numerators rescaled by a power of base(k)
-for this), so no step needs a gcd or a division, and each state comes
-out as an unreduced integer pair.  Folded over k = 0..n-1, the state
-after index k-1 is the sum at n = k: `harmonic_sum_pairs` yields those
-at n_min..n_max as they come, `harmonic_sum_prefixes` reduces them to
-Fractions and `harmonic_sum` is its value at n.  Rule 5 of the
-certificates folds a reversed tail from k = n-1 down.  Folded modulo a
-prime power, the same loop gives `negative_valuation` without the
-value.  Nothing is cached.  The brute-force enumerator is
-an independent oracle.
+for this), so no step needs a gcd or a division, and each node's state
+comes out as an unreduced integer pair.  A single composition is a
+chain, and `sweep` folds one trie per key for a whole grid, so a prefix
+shared by many compositions is folded once.  Folded over k = 0..n-1,
+the state after index k-1 is the sum at n = k: `harmonic_sum_pairs`
+yields those at n_min..n_max as they come, `harmonic_sum_prefixes`
+reduces them to Fractions and `harmonic_sum` is its value at n.  Rule
+5 of the certificates folds a reversed tail from k = n-1 down.  Folded
+modulo a prime power, the same loop gives `negative_valuation` without
+the value.  Nothing is cached.  The brute-force enumerator is an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations, combinations_with_replacement, starmap
+from itertools import combinations, combinations_with_replacement, starmap
 from typing import Iterable, Iterator, Union
 
 from .exact import int_valuation
@@ -179,96 +181,147 @@ def harmonic_sum_pairs(spec: SumSpec, comp: CompositionLike,
     n_min, n_max = spec.validate(n_min, comp), operator.index(n_max)
     if n_max < n_min:
         raise ValueError(f"need n_min <= n_max, got {n_min} > {n_max}")
-    return _fold(spec, comp, range(n_max), n_min - 1)
+    trie = PrefixTrie.chain(spec, comp)
+    return ((v[-1], den) for v, den in _fold(spec, trie, range(n_max), n_min - 1))
 
 
-def _fold(spec: SumSpec, comp: Composition, indices: Iterable[int],
-          skip: int, modulus: int | None = None) -> Iterator[tuple[int, int]]:
-    """Fold comp over the summation indices in the order given: after
-    index k, v[j] / den is the sum over the first j exponents with every
-    index among those folded so far, the earlier ones taking the earlier
+class PrefixTrie:
+    """Compositions folded together, one node per distinct prefix.
+
+    Node 0 is the empty prefix; node i > 0 adds entries[i] to its parent
+    parents[i] < i.  Every composition in a trie shares its key, the
+    power the fold scales by: max|s| for strict sums, the weight W for
+    star sums (`key_of`).  A single composition is a chain, 0 - 1 - ... - r.
+    """
+
+    def __init__(self, key: int):
+        self.key = key
+        self.parents = [0]
+        self.entries = [0]
+        self._children: dict[tuple[int, int], int] = {}
+
+    @staticmethod
+    def key_of(spec: SumSpec, comp: Composition) -> int:
+        return comp.weight if spec.star else max(comp.magnitudes())
+
+    @classmethod
+    def chain(cls, spec: SumSpec, comp: Composition) -> "PrefixTrie":
+        trie = cls(cls.key_of(spec, comp))
+        trie.add(comp)
+        return trie
+
+    def add(self, comp: Composition) -> int:
+        """The node of comp, made with any of its prefixes still missing."""
+        node = 0
+        for entry in comp.indices:
+            child = self._children.get((node, entry))
+            if child is None:
+                child = self._children[node, entry] = len(self.parents)
+                self.parents.append(node)
+                self.entries.append(entry)
+            node = child
+        return node
+
+
+def _fold(spec: SumSpec, trie: PrefixTrie, indices: Iterable[int],
+          skip: int, modulus: int | None = None) -> Iterator[tuple[list[int], int]]:
+    """Fold a trie over the summation indices in the order given: after
+    index k, v[i] / den is the sum over node i's prefix with every index
+    among those folded so far, the earlier ones taking the earlier
     exponents, and no step divides.
 
-    Strict sums keep den = v[0]: each step multiplies the whole vector
-    by base(k)**max|s| and adds the lower neighbour from before index k.
-    Star sums add the lower neighbour from after index k, which carries
-    the factor 1/base(k)**|s_j|.  So that they multiply instead, their
-    numerators are kept divided by base(k)**(W - M_j), with M_j = |s_1|
-    + ... + |s_j| and W = M_r, and den = v[0] * base(k)**W.  Going from
-    the previous base b' (1 before the first index) to b = base(k) is then
-    v[0] *= b'**W and, for j = 1..r in turn, v[j] = v[j] * b'**(W - M_j)
-    * b**M_j +- v[j-1]: integers in, integers out.  The state after each
-    index past the first `skip` is yielded as (v[r], den), unreduced.
+    Strict sums keep den = v[0]: each step multiplies every node by
+    base(k)**key, key = max|s|, and adds the parent's value from before
+    index k, times base(k)**(key - |s|), so the nodes run deepest first.
+    Star sums add the parent's value from after index k, so the nodes run
+    parents first, and that value carries the factor 1/base(k)**|s|.  So
+    that they multiply instead, their numerators are kept divided by
+    base(k)**(W - M), with M the weight of the node's prefix and W = key,
+    and den = v[0] * base(k)**W.  Going from the previous base b' (1
+    before the first index) to b = base(k) is then v[0] *= b'**W and,
+    node by node, v[i] = v[i] * b'**(W - M) * b**M +- v[parent]:
+    integers in, integers out.  A node whose entry is negative carries
+    its own sign.  The state after each index past the first `skip` is
+    yielded as (v, den), unreduced; v is the fold's own list, valid until
+    the next step.
 
-    With a modulus, every v[j] is reduced modulo it after each index.
+    With a modulus, every v[i] is reduced modulo it after each index.
     The fold only multiplies and adds, so the pair yielded is then
     congruent to the unreduced one: residues, not a value.
     """
-    r = comp.depth
-    mags = comp.magnitudes()
-    signed = [e < 0 for e in comp.indices]
-    star, odd = spec.star, spec.odd
-    if star:
-        heads = list(accumulate(mags))     # M_1..M_r
-        weight = heads[-1]                 # W
-        rests = [weight - m for m in heads]
+    star, odd, key = spec.star, spec.odd, trie.key
+    parents, entries = trie.parents, trie.entries
+    nodes = range(1, len(parents))
+    if star:  # (node, parent, W - M, M, alternating)
+        heads = [0] * len(parents)
+        for i in nodes:
+            heads[i] = heads[parents[i]] + abs(entries[i])
+        steps = [(i, parents[i], key - heads[i], heads[i], entries[i] < 0) for i in nodes]
         prev = 1                           # b', the base before index k
-    else:
-        scale = max(mags)
-    v = [1] + [0] * r
-    for i, k in enumerate(indices):
+    else:     # (node, parent, key - |s|, alternating), deepest first
+        steps = [(i, parents[i], key - abs(entries[i]), entries[i] < 0)
+                 for i in reversed(nodes)]
+    v = [1] + [0] * len(nodes)
+    for at, k in enumerate(indices):
         base = 2 * k + 1 if odd else k + 1
         flip = k & 1
-        if star:  # ascending: v[j-1] already includes index k
-            term = v[0] = v[0] * prev ** weight
-            for j in range(1, r + 1):
-                term = v[j] = (v[j] * (prev ** rests[j - 1] * base ** heads[j - 1])
-                               + (-term if flip and signed[j - 1] else term))
+        if star:  # v[parent] already includes index k
+            v[0] *= prev ** key
+            for i, q, rest, head, signed in steps:
+                term = v[q]
+                v[i] = v[i] * (prev ** rest * base ** head) + (-term if flip and signed else term)
             prev = base
-        else:  # descending: v[j-1] still stops before index k
-            step = base ** scale
-            for j in range(r, 0, -1):
-                term = v[j - 1] * base ** (scale - mags[j - 1])
-                v[j] = v[j] * step + (-term if flip and signed[j - 1] else term)
+        else:     # v[parent] still stops before index k
+            step = base ** key
+            for i, q, low, signed in steps:
+                term = v[q] * base ** low
+                v[i] = v[i] * step + (-term if flip and signed else term)
             v[0] *= step
         if modulus:
-            for j in range(r + 1):
-                v[j] %= modulus
-        if i >= skip:
-            yield v[r], v[0] * base ** weight if star else v[0]
+            for i in range(len(v)):
+                v[i] %= modulus
+        if at >= skip:
+            yield v, v[0] * base ** key if star else v[0]
+
+
+def _den_valuation(spec: SumSpec, n: int, comp: Composition, p: int) -> int:
+    """v_p of the fold's unreduced denominator at n, in closed form.
+
+    That denominator is the product of base(k)**key over k < n, so its
+    valuation is key times v_p(n!), or for odd parity key times
+    v_p((2n)!) - v_p(n!) by Legendre (no odd base holds 2).
+    """
+    if spec.odd and p == 2:
+        return 0
+    e, m = 0, 2 * n if spec.odd else n
+    while m:
+        m //= p
+        e += m
+    if spec.odd:
+        m = n
+        while m:
+            m //= p
+            e -= m
+    return e * PrefixTrie.key_of(spec, comp)
 
 
 def negative_valuation(spec: SumSpec, n: int, comp: CompositionLike,
                        p: int) -> int | None:
     """v_p of the sum at n if it is negative, else None; p must be prime.
 
-    The fold's unreduced denominator is the product of base(k)**m over
-    k < n, with m = weight for star sums and max|s| for strict ones, so
-    its valuation e is known in closed form: m times v_p(n!), or for odd
-    parity m times v_p((2n)!) - v_p(n!) by Legendre (no odd base holds
-    2).  Fold the numerator modulo p**e.  A nonzero residue x gives the
-    valuation exactly, v_p(x) - e < 0; a zero residue means p**e divides
-    the numerator, so the valuation is >= 0.  Exact at every prime and
-    every n, with no precision to choose.
+    The fold's unreduced denominator has valuation e in closed form
+    (`_den_valuation`).  Fold the numerator modulo p**e.  A nonzero
+    residue x gives the valuation exactly, v_p(x) - e < 0; a zero residue
+    means p**e divides the numerator, so the valuation is >= 0.  Exact
+    at every prime and every n, with no precision to choose.
     """
     comp = Composition.coerce(comp)
     n, p = spec.validate(n, comp), operator.index(p)
     if p < 2:
         raise ValueError(f"p must be prime, got {p}")
-
-    def factorial_valuation(m: int) -> int:
-        v = 0
-        while m:
-            m //= p
-            v += m
-        return v
-
-    if not spec.odd:
-        e = factorial_valuation(n)
-    else:
-        e = 0 if p == 2 else factorial_valuation(2 * n) - factorial_valuation(n)
-    e *= comp.weight if spec.star else max(comp.magnitudes())
-    x, _ = next(_fold(spec, comp, range(n), n - 1, p ** e))
+    e = _den_valuation(spec, n, comp, p)
+    v, _ = next(_fold(spec, PrefixTrie.chain(spec, comp), range(n), n - 1, p ** e))
+    x = v[-1]
     return int_valuation(x, p) - e if x else None
 
 

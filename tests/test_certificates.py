@@ -1,5 +1,6 @@
 """Certificate engine: rule routing, soundness, and the bound tables."""
 
+import json
 import os
 import subprocess
 import sys
@@ -17,6 +18,8 @@ from oddharmonic.certificates import (
     STAR_VALUATION,
     TRIVIAL_INTEGER,
     WINDOW_VALUATION,
+    Certificate,
+    _negative_valuation,
     decimal_bound_checks,
     depth_threshold_holds,
     leading_exponent_bound,
@@ -25,10 +28,13 @@ from oddharmonic.certificates import (
     verify_odd_noninteger,
     verify_star_noninteger,
 )
-from oddharmonic.exact import padic_valuation
+from oddharmonic.exact import int_valuation, padic_valuation
+from oddharmonic.primes import bertrand_prime, window_prime
 from oddharmonic.sums import (
     STAR_ODD,
     STRICT_ODD,
+    Composition,
+    _den_valuation,
     compositions,
     harmonic_sum,
     harmonic_sum_pairs,
@@ -363,6 +369,38 @@ def test_pair_fraction_and_none_values_give_equal_certificates():
             n, comp, value=(reduced.numerator, reduced.denominator))
 
 
+def _valuation_from_both_integers(num, den, p):
+    v = int_valuation(num, p) - int_valuation(den, p)
+    return v if v < 0 else None
+
+
+def test_given_pair_is_read_through_the_closed_form():
+    # the fold's own pair has the closed-form denominator valuation, so it
+    # is read modulo p**e; reduced pairs, pairs scaled by p**2 and pairs
+    # with one more p in den are not, and take the two integer valuations;
+    # every reading agrees with the two integer valuations
+    specs = {verify_odd_noninteger: STRICT_ODD, verify_star_noninteger: STAR_ODD}
+    checked = 0
+    for verifier, n, comp, (num, den) in _grid_cases():
+        spec, comp = specs[verifier], Composition(comp)
+        ps = {bertrand_prime(2 * n)}  # above 2n, so e = 0
+        if n >= 2:
+            ps.add(bertrand_prime(n))
+        if not spec.star:
+            ps.add(window_prime(n, comp.depth) or 3)
+        if n % 7 == 0:
+            ps.update((3, 5, 7))  # e up to 19 times the key
+        reduced = Fraction(num, den)
+        for p in ps:
+            assert int_valuation(den, p) == _den_valuation(spec, n, comp, p), (n, comp, p)
+            for pair in ((num, den), (reduced.numerator, reduced.denominator),
+                         (num * p ** 2, den * p ** 2), (num, den * p)):
+                assert (_negative_valuation(spec, n, comp, p, pair)
+                        == _valuation_from_both_integers(*pair, p)), (n, comp, p, pair)
+                checked += 1
+    assert checked > 200_000
+
+
 def test_given_value_needs_no_primality_test(monkeypatch):
     # the primes of rules 1 and 3 come from prime searches; a given value is
     # read at them with integers, so is_prime is never asked again
@@ -443,6 +481,27 @@ def test_certificate_json_shape():
     doc = verify_odd_noninteger(5, (1, 2)).to_json()
     assert doc["kind"] == "MagnitudeBound"
     assert Fraction(doc["bound"]) < 1
+
+
+def test_json_line_is_the_json_of_to_json():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # the DepthBound's bound runs past 4300 digits
+    try:
+        certs = [verify_odd_noninteger(1, (5,)), verify_star_noninteger(1, (2,)),
+                 verify_odd_noninteger(7, (3,)), verify_star_noninteger(9, (1, 2)),
+                 verify_odd_noninteger(12, (1, 1)), verify_odd_noninteger(5, (1, 2)),
+                 verify_odd_noninteger(5, (3, 1)), verify_odd_noninteger(5, (1, 1)),
+                 verify_odd_noninteger(26, (1, 1)), verify_odd_noninteger(400, (1,) * 12),
+                 Certificate(DIRECT_NON_INTEGER, 9, Composition((2, 1)), rule_index=6,
+                             prime=7, valuation=-3, bound=Fraction(-5, 3), best_effort=True)]
+        assert {c.kind for c in certs} == {
+            TRIVIAL_INTEGER, STAR_VALUATION, WINDOW_VALUATION, DEPTH_BOUND,
+            MAGNITUDE_BOUND, LARGE_S1_BOUND, DIRECT_NON_INTEGER}
+        assert certs[8].best_effort and len(certs[9].json_line()) == 8348
+        for cert in certs:
+            assert cert.json_line() == json.dumps(cert.to_json()), cert.kind
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_certificates_are_reproducible():

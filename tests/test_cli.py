@@ -2,16 +2,26 @@
 
 import hashlib
 import json
-import math
 import sys
 from fractions import Fraction
 
 import pytest
 
 from oddharmonic import cli, hyper, primes
-from oddharmonic.certificates import verify_odd_noninteger, verify_star_noninteger
+from oddharmonic.certificates import (
+    Certificate,
+    verify_odd_noninteger,
+    verify_star_noninteger,
+)
 from oddharmonic.cli import main
-from oddharmonic.sums import STRICT_ODD, STRICT_STANDARD, compositions, harmonic_sum
+from oddharmonic.sums import (
+    STAR_ODD,
+    STRICT_ODD,
+    STRICT_STANDARD,
+    _fold,
+    compositions,
+    harmonic_sum,
+)
 
 
 def run(capsys, *argv):
@@ -127,7 +137,7 @@ BENCH_GRID_SHA256 = {
 
 # SHA-256 and line count of the stdout of each sweep, recorded when every
 # (n, composition) of a sweep was evaluated on its own.
-@pytest.mark.parametrize("family, flags, digest, lines", [
+PINNED_SWEEPS = [
     ("--strict", (), "4b6ec35239c95846e9bd88f1b42b28636f0c6d5eec4ef706f5973656cf63a8cb", 621),
     ("--star", (), "6b287c65c89c0aaa969a94742a38ebd699bc439309238d621ef56a2373ee1ed5", 621),
     ("--strict", ("--n-min", "0"),
@@ -154,13 +164,36 @@ BENCH_GRID_SHA256 = {
     # the benchmark's sweep grid; the strict one has 127 LargeS1Bound lines
     ("--strict", BENCH_GRID, BENCH_GRID_SHA256["--strict"], 9423),
     ("--star", BENCH_GRID, BENCH_GRID_SHA256["--star"], 9423),
-])
+]
+
+
+@pytest.mark.parametrize("family, flags, digest, lines", PINNED_SWEEPS)
 def test_sweep_output_digest(capsys, family, flags, digest, lines):
     code, out, err = run(capsys, "sweep", "--n-max", "12", "--weight-max", "6",
                          family, *flags)
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == lines
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sweep_lines_are_the_json_of_their_certificates(capsys, monkeypatch):
+    # every line of every pinned sweep, written by json_line, is what
+    # json.dumps makes of the certificate's to_json
+    json_line, count = Certificate.json_line, 0
+
+    def checked(cert):
+        nonlocal count
+        line = json_line(cert)
+        assert line == json.dumps(cert.to_json())
+        count += 1
+        return line
+
+    monkeypatch.setattr(Certificate, "json_line", checked)
+    for family, flags, digest, lines in PINNED_SWEEPS:
+        code, out, _ = run(capsys, "sweep", "--n-max", "12", "--weight-max", "6",
+                           family, *flags)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+    assert count == sum(lines for *_, lines in PINNED_SWEEPS)
 
 
 @pytest.mark.parametrize("family", ["--strict", "--star"])
@@ -194,36 +227,55 @@ def test_sweep_split_over_warm_caches_matches_one_call(capsys, family):
 
 
 def test_sweep_refuses_a_grid_over_its_memory_budget(capsys, monkeypatch):
-    # the estimate takes integers only: nothing is enumerated or folded
+    # the estimate takes integers only: nothing is enumerated, no trie is
+    # built and nothing is folded
     def refuse(*args):
         raise AssertionError("sweep built its grid")
 
-    monkeypatch.setattr("oddharmonic.cli.compositions", refuse)
-    monkeypatch.setattr("oddharmonic.cli.harmonic_sum_pairs", refuse)
-    code, out, err = run(capsys, "sweep", "--n-max", "2000", "--weight-max", "20")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: sweep would hold about") and "MiB" in err, err
+    for name in ("compositions", "PrefixTrie", "_fold"):
+        monkeypatch.setattr(f"oddharmonic.cli.{name}", refuse)
+    for family in ("--strict", "--star"):
+        code, out, err = run(capsys, "sweep", "--n-max", "2000", "--weight-max", "20", family)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: sweep would hold about") and "MiB" in err, err
     code, _, err = run(capsys, "sweep", "--n-max", "40", "--weight-max", "20",
                        "--depth-max", "19", "--star")
     assert code == 2 and "--weight-max" in err
+
+
+def _trie_state_bits(star, n_max, weight_max, depth_max):
+    """Bits of every integer the sweep's tries hold at n_max, counted on
+    the tries themselves, and the number of their nodes."""
+    spec = STAR_ODD if star else STRICT_ODD
+    tries, _ = cli._sweep_grid(spec, 1, weight_max, min(depth_max, n_max))
+    bits = 0
+    for trie in tries:
+        *_, (v, den) = _fold(spec, trie, range(n_max), 0)
+        bits += sum(x.bit_length() for x in v) + (den.bit_length() if star else 0)
+    return bits, sum(len(trie.parents) for trie in tries)
 
 
 def test_sweep_memory_estimate():
     # closed-form bit count against the bit lengths of 1, 3, ..., 2n-1
     for n in range(1, 300):
         assert cli._odd_product_bits(n) == sum(k.bit_length() for k in range(1, 2 * n, 2))
-    # the estimate covers the exact size of every fold's denominator
-    for n_max, weight_max, depth_max in ((12, 6, 6), (14, 6, 3), (40, 8, 8)):
-        odd_product = math.prod(range(1, 2 * n_max, 2))
-        exact = sum((len(c) + 1) * (odd_product ** sum(c)).bit_length()
-                    for c in compositions(weight_max, depth_max))
-        estimate = cli._sweep_state_bytes(2, n_max, weight_max, depth_max)
-        assert exact // 8 <= estimate <= exact // 8 * 1.2, (n_max, weight_max)
+    # the estimate covers every integer the tries hold; it counts each
+    # node's keys exactly for star sums and from above for strict ones,
+    # and at small n a node's integer falls short of its denominator
+    for star, slack in ((False, 3.5), (True, 2.25)):
+        for n_max, weight_max, depth_max in ((12, 6, 6), (14, 6, 3), (40, 8, 8), (30, 9, 4),
+                                             (2, 4, 4), (3, 6, 6), (60, 7, 2), (200, 5, 5)):
+            exact, _ = _trie_state_bits(star, n_max, weight_max, depth_max)
+            estimate = cli._sweep_state_bytes(2, n_max, weight_max, depth_max, star)
+            assert exact // 8 <= estimate <= exact // 8 * slack, (star, n_max, weight_max)
+    # the trie node counts of the benchmark grid, against 1,024 fold levels
+    assert [_trie_state_bits(star, 40, 8, 8)[1] - 8 for star in (False, True)] == [305, 502]
     # the benchmark grid and every grid the tests sweep fit with room to spare
-    for grid in ((2, 40, 8, 8), (2, 12, 6, 6), (-3, 4, 5, 5), (1, 14, 6, 6)):
-        assert cli._sweep_state_bytes(*grid) < cli.SWEEP_STATE_LIMIT_BYTES // 100, grid
-    assert cli._sweep_state_bytes(13, 12, 6, 6) == 0
-    assert cli._sweep_state_bytes(2, 12, 0, 0) == 0
+    for star in (False, True):
+        for grid in ((2, 40, 8, 8), (2, 12, 6, 6), (-3, 4, 5, 5), (1, 14, 6, 6)):
+            assert cli._sweep_state_bytes(*grid, star) < cli.SWEEP_STATE_LIMIT_BYTES // 100
+        assert cli._sweep_state_bytes(13, 12, 6, 6, star) == 0
+        assert cli._sweep_state_bytes(2, 12, 0, 0, star) == 0
 
 
 @pytest.mark.parametrize("family, verifier", [("--strict", verify_odd_noninteger),

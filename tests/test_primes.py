@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oddharmonic import primes
+from oddharmonic import cli, primes
 from oddharmonic.certificates import depth_threshold_holds
 from oddharmonic.primes import (
     Sieve,
@@ -233,6 +233,25 @@ def test_window_report_above_the_table_matches_marking_scan():
             args = (r, cap, 2000, closed_open)
             assert _outcome(_gap_rule, *args) == _outcome(_marking_scan, *args), args
     assert primes._large_sieve.cache_info().misses <= built + 1  # one sieve for every r
+
+
+def test_window_report_refuses_a_cap_above_its_limit(monkeypatch, capsys):
+    # refused before any sieve is built, so nothing here allocates one
+    def refuse(*args):
+        raise AssertionError("a sieve was built")
+
+    monkeypatch.setattr(primes, "Sieve", refuse)
+    monkeypatch.setattr(primes, "_large_sieve", refuse)
+    for cap in (primes.REPORT_CAP_MAX + 1, 10**10, 10**30):
+        with pytest.raises(ValueError, match="cap"):
+            window_report(2, cap)
+    assert cli.main(["table", "nr", "--r-max", "2", "--cap", str(10**8)]) == 2
+    assert capsys.readouterr().err.startswith("error: cap=100000000")
+    # the limit itself is allowed: the report asks for a sieve up to it
+    caps = []
+    monkeypatch.setattr(primes, "_large_sieve", lambda cap: caps.append(cap) or primes._TABLE)
+    window_report(2, primes.REPORT_CAP_MAX)
+    assert caps == [primes.REPORT_CAP_MAX]
 
 
 def test_closed_open_variant_shifts_maximum_by_one():

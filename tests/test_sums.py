@@ -4,6 +4,7 @@ import gc
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,12 +13,15 @@ from oddharmonic.exact import padic_valuation
 from oddharmonic.primes import is_prime
 from oddharmonic.sums import (
     Composition,
+    PrefixTrie,
     STAR_ODD,
     STAR_STANDARD,
     STRICT_ODD,
     STRICT_STANDARD,
     SumSpec,
     WorkLimitExceeded,
+    _den_valuation,
+    _fold,
     compositions,
     dominates,
     harmonic_sum,
@@ -313,6 +317,117 @@ def test_large_sum_leaves_no_memory_behind():
     finally:
         tracemalloc.stop()
     assert retained < 1 << 20, retained
+
+
+# -- the prefix-trie fold against the per-composition fold it replaced ---------
+
+def _composition_fold(spec, comp, indices, skip, modulus=None):
+    """Oracle: the fold of one composition on its own, level by level, as
+    it stood before every composition became a chain of a prefix trie."""
+    r = comp.depth
+    mags = comp.magnitudes()
+    signed = [e < 0 for e in comp.indices]
+    star, odd = spec.star, spec.odd
+    if star:
+        heads = list(accumulate(mags))
+        weight = heads[-1]
+        rests = [weight - m for m in heads]
+        prev = 1
+    else:
+        scale = max(mags)
+    v = [1] + [0] * r
+    for i, k in enumerate(indices):
+        base = 2 * k + 1 if odd else k + 1
+        flip = k & 1
+        if star:
+            term = v[0] = v[0] * prev ** weight
+            for j in range(1, r + 1):
+                term = v[j] = (v[j] * (prev ** rests[j - 1] * base ** heads[j - 1])
+                               + (-term if flip and signed[j - 1] else term))
+            prev = base
+        else:
+            step = base ** scale
+            for j in range(r, 0, -1):
+                term = v[j - 1] * base ** (scale - mags[j - 1])
+                v[j] = v[j] * step + (-term if flip and signed[j - 1] else term)
+            v[0] *= step
+        if modulus:
+            for j in range(r + 1):
+                v[j] %= modulus
+        if i >= skip:
+            yield v[r], v[0] * base ** weight if star else v[0]
+
+
+def _signed_grid(weight_max):
+    """Every composition of weight <= weight_max, and a copy of each with
+    alternating entries wherever position plus weight is even."""
+    comps = [Composition(c) for c in compositions(weight_max)]
+    signed = [Composition(tuple(-e if (j + c.weight) % 2 == 0 else e
+                                for j, e in enumerate(c.indices))) for c in comps]
+    return comps + [c for c in signed if not c.all_positive]
+
+
+def _chain_pairs(spec, comp, indices, skip=0, modulus=None):
+    return [(v[-1], den) for v, den in
+            _fold(spec, PrefixTrie.chain(spec, comp), indices, skip, modulus)]
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.ordering}-{s.parity}")
+def test_chain_fold_gives_the_per_composition_pairs(spec):
+    # identical unreduced integers, not merely equal values, at every n <= 40
+    grid = _signed_grid(8)
+    assert len(grid) > 400
+    for comp in grid:
+        assert (_chain_pairs(spec, comp, range(40))
+                == list(_composition_fold(spec, comp, range(40), 0))), comp
+    # one n near 300, and a reversed index order as rule 5 folds its tails
+    for comp in grid[::9]:
+        assert (_chain_pairs(spec, comp, range(297), 296)
+                == list(_composition_fold(spec, comp, range(297), 296))), comp
+        assert (_chain_pairs(spec, comp, range(30, 0, -1))
+                == list(_composition_fold(spec, comp, range(30, 0, -1), 0))), comp
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.ordering}-{s.parity}")
+def test_modular_chain_fold_gives_the_per_composition_residues(spec):
+    for comp in _signed_grid(6):
+        for n, p in ((12, 5), (12, 11), (25, 3), (33, 7), (40, 2)):
+            if comp.depth > n:
+                continue
+            modulus = p ** max(_den_valuation(spec, n, comp, p), 1)
+            got = _chain_pairs(spec, comp, range(n), n - 1, modulus)
+            assert got[0][0] == next(_composition_fold(spec, comp, range(n), n - 1,
+                                                       modulus))[0], (comp, n, p)
+            assert got[0][0] == _chain_pairs(spec, comp, range(n), n - 1)[0][0] % modulus
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.ordering}-{s.parity}")
+def test_grid_trie_gives_each_member_its_chain_pairs(spec):
+    # one trie per key, as sweep builds them; every member's node carries
+    # the pair of its own chain, and the trie has one node per prefix
+    grid = _signed_grid(7)
+    tries, members = {}, []
+    for comp in grid:
+        key = PrefixTrie.key_of(spec, comp)
+        trie = tries.setdefault(key, PrefixTrie(key))
+        members.append((comp, trie, trie.add(comp)))
+        assert trie.add(comp) == members[-1][2]
+    for trie in tries.values():
+        prefixes = {(trie.parents[i], trie.entries[i]) for i in range(1, len(trie.parents))}
+        assert len(prefixes) == len(trie.parents) - 1
+    states = {trie: [(list(v), den) for v, den in _fold(spec, trie, range(30), 0)]
+              for trie in tries.values()}
+    for comp, trie, node in members:
+        assert ([(v[node], den) for v, den in states[trie]]
+                == _chain_pairs(spec, comp, range(30))), comp
+
+
+def test_trie_key_and_chain_shape():
+    comp = Composition((2, -3, 1))
+    assert PrefixTrie.key_of(STRICT_ODD, comp) == 3
+    assert PrefixTrie.key_of(STAR_ODD, comp) == 6
+    chain = PrefixTrie.chain(STAR_ODD, comp)
+    assert (chain.key, chain.parents, chain.entries) == (6, [0, 0, 1, 2], [0, 2, -3, 1])
 
 
 # -- valuations without the value ---------------------------------------------
