@@ -13,6 +13,18 @@ forces valuation -weight.  The strict family runs a fixed cascade:
   6. fallback             -> DirectNonInteger (exact denominator > 1)
 
 Ties resolve to the earliest rule, so certificates are reproducible.
+The cascade runs in one private object per (family, n), `_Point`, which
+holds what no composition changes: the Bertrand prime, the valuation e
+of the fold's denominator at each (prime, key) with p**e and p**(e+1),
+and per depth the rule-2 bound, the window prime and whether rule 4
+applies and rules 4-6 are best-effort.  `verify_*` checks its case,
+makes one point and wraps the fields that `_Point.certify` returns in a
+`Certificate`; `sweep` makes one point per n, certifies every row it
+built itself and writes each line from the fields with `_json_line`, the
+writer `Certificate.json_line` also calls.  Rule 4's reference bound
+depends on n only through n <= the window threshold of its depth, so it
+is cached per composition.
+
 Rules 1 and 3 fold the sum modulo a power of their prime, which decides
 the valuation exactly without the value (`sums.negative_valuation`); a
 caller that already holds the value has it read off that instead: modulo
@@ -101,7 +113,27 @@ _MAGNITUDE_COMPARATORS = {
     r: tuple(Composition(c) for c in _DECIMAL_THRESHOLDS if len(c) == r) for r in (2, 3, 4)}
 
 
-@dataclass(frozen=True)
+def _json_line(kind: str, n: int, composition: Composition, rule_index: int,
+               prime: int | None, valuation: int | None, bound: Fraction | None,
+               best_effort: bool) -> str:
+    """json.dumps of a certificate's to_json(), written out in one f-string
+    from its fields, in the order Certificate declares them.
+
+    Every value is an int, null, true or a string that JSON writes as it
+    is: a kind name, a composition's digits and commas, or a bound's
+    digits, sign and slash.
+    """
+    prime = "null" if prime is None else prime
+    valuation = "null" if valuation is None else valuation
+    bound = "null" if bound is None else f'"{bound!s}"'
+    tail = ', "best_effort": true' if best_effort else ""
+    return (f'{{"kind": "{kind}", "n": {n}, '
+            f'"composition": "{composition!s}", "prime": {prime}, '
+            f'"valuation": {valuation}, "bound": {bound}, '
+            f'"rule_index": {rule_index}{tail}}}')
+
+
+@dataclass(frozen=True, slots=True)
 class Certificate:
     """Witness of (non-)integrality for one (n, composition) case."""
 
@@ -129,20 +161,9 @@ class Certificate:
         return doc
 
     def json_line(self) -> str:
-        """json.dumps(self.to_json()), written out in one f-string.
-
-        Every value is an int, null, true or a string that JSON writes
-        as it is: a kind name, a composition's digits and commas, or a
-        bound's digits, sign and slash.
-        """
-        prime = "null" if self.prime is None else self.prime
-        valuation = "null" if self.valuation is None else self.valuation
-        bound = "null" if self.bound is None else f'"{self.bound!s}"'
-        tail = ', "best_effort": true' if self.best_effort else ""
-        return (f'{{"kind": "{self.kind}", "n": {self.n}, '
-                f'"composition": "{self.composition!s}", "prime": {prime}, '
-                f'"valuation": {valuation}, "bound": {bound}, '
-                f'"rule_index": {self.rule_index}{tail}}}')
+        """json.dumps(self.to_json()), without building the dict."""
+        return _json_line(self.kind, self.n, self.composition, self.rule_index,
+                          self.prime, self.valuation, self.bound, self.best_effort)
 
 
 def _tail_pairs(n: int, tail: CompositionLike) -> list[tuple[int, int]]:
@@ -258,49 +279,141 @@ def _checked_case(spec: SumSpec, n: int, comp: CompositionLike,
     return spec.validate(n, comp), comp, value
 
 
-def _negative_valuation(spec: SumSpec, n: int, comp: Composition, p: int,
-                        value: Pair | None) -> int | None:
-    """v_p of the sum if it is negative, else None; p comes from a prime
-    search, so it is not tested again.  Without a value the sum is folded
-    modulo a power of p.
-
-    A given pair is first tried as the fold's own: when its denominator
-    has exactly the fold's closed-form valuation e, which one remainder
-    modulo p**(e+1) shows, the numerator modulo p**e decides, as in
-    `sums.negative_valuation`.  Any other pair, a reduced Fraction for
-    one, is read with integers, numerator valuation minus denominator
-    valuation."""
-    if value is None:
-        return negative_valuation(spec, n, comp, p)
-    num, den = value
-    e = _den_valuation(spec, n, comp, p)
-    pe = p ** e
-    rest = den % (pe * p)
-    if rest and not rest % pe:  # v_p(den) == e
-        x = num % pe
-        return int_valuation(x, p) - e if x else None
-    v = int_valuation(num, p) - int_valuation(den, p)
-    return v if v < 0 else None
+@lru_cache(maxsize=None)
+def _reference_sum(n: int, comp: tuple[int, ...]) -> Fraction:
+    return harmonic_sum(STRICT_ODD, n, comp)
 
 
-def _bertrand_certificate(spec: SumSpec, n: int, comp: Composition,
-                          value: Pair | None) -> Certificate:
-    """Rule 1: a prime n < p < 2n divides exactly one odd denominator.
+@lru_cache(maxsize=4096)
+def _magnitude_bound(comp: tuple[int, ...]) -> Fraction | None:
+    """Rule 4: an exact reference bound < 1 on the sum of comp, of depth
+    2..17, at every n up to the window threshold of its depth, if one
+    applies.  The bound is the reference sum at that threshold, so it
+    depends on n only through n <= threshold, which the caller checks."""
+    r = len(comp)
+    ref_n = primes.window_threshold(r)
+    if r <= 4:
+        for comparator in _MAGNITUDE_COMPARATORS[r]:
+            if dominates(comp, comparator):
+                bound = _reference_sum(ref_n, comparator.indices)
+                if bound < 1:
+                    return bound
+        return None
+    bound = _reference_sum(ref_n, (1,) * r) if r <= 10 else ones_power_bound(ref_n, r)
+    return bound if bound < 1 else None
 
-    For star sums, and for strict sums of depth 1, the term using it at
-    every position is the unique one of minimal valuation, so the sum
-    has valuation exactly -weight.  The valuation is computed, not
-    assumed: modulo a power of p, or on the value when one is given.
-    """
-    p = primes.bertrand_prime(n)
-    v = _negative_valuation(spec, n, comp, p, value)
-    if v != -comp.weight:
-        raise RuntimeError(
-            f"valuation law failed: v_{p} of {spec.ordering} sum at n={n}, "
-            f"comp={comp} is {'not negative' if v is None else v}, "
-            f"expected {-comp.weight}"
-        )
-    return Certificate(STAR_VALUATION, n, comp, rule_index=1, prime=p, valuation=v)
+
+# Rules 2, 4 and 5 bound the sum without its value; it is recomputed as a
+# check whenever n * depth is at most this.
+_VALUE_CHECK_LIMIT = 20_000
+
+# A certificate's fields in the order Certificate declares them: kind, n,
+# composition, rule_index, prime, valuation, bound, best_effort.
+Fields = tuple[str, int, Composition, int, int | None, int | None, Fraction | None, bool]
+
+
+class _Point:
+    """The cascade at one (family, n), with the facts no composition
+    changes that the module docstring lists; e is the valuation of the
+    fold's unreduced denominator.  Compositions come checked:
+    all-positive, of depth <= n."""
+
+    __slots__ = ("spec", "n", "bertrand", "_powers", "_depths")
+
+    def __init__(self, spec: SumSpec, n: int):
+        self.spec, self.n = spec, n
+        self.bertrand = primes.bertrand_prime(n) if n >= 2 else None
+        self._powers: dict[tuple[int, int], tuple[int, int, int]] = {}
+        self._depths: dict[int, tuple[Fraction | None, int | None, bool, bool]] = {}
+
+    def valuation(self, comp: Composition, p: int, value: Pair | None) -> int | None:
+        """v_p of the sum if it is negative, else None; p comes from a prime
+        search, so it is not tested again.  Without a value the sum is
+        folded modulo a power of p (`sums.negative_valuation`).
+
+        A given pair is first tried as the fold's own: when its denominator
+        has exactly the fold's closed-form valuation e, which one remainder
+        modulo p**(e+1) shows, the numerator modulo p**e decides, as in
+        `sums.negative_valuation`.  Any other pair, a reduced Fraction for
+        one, is read with integers, numerator valuation minus denominator
+        valuation."""
+        if value is None:
+            return negative_valuation(self.spec, self.n, comp, p)
+        num, den = value
+        at = p, PrefixTrie.key_of(self.spec, comp)
+        powers = self._powers.get(at)
+        if powers is None:
+            e = _den_valuation(self.spec, self.n, comp, p)
+            powers = self._powers[at] = e, p ** e, p ** (e + 1)
+        e, pe, pe1 = powers
+        rest = den % pe1
+        if rest and not rest % pe:  # v_p(den) == e
+            x = num % pe
+            return int_valuation(x, p) - e if x else None
+        v = int_valuation(num, p) - int_valuation(den, p)
+        return v if v < 0 else None
+
+    def _depth(self, r: int) -> tuple[Fraction | None, int | None, bool, bool]:
+        """(rule-2 bound, window prime, rule 4 applies, best_effort) at
+        depth r >= 2; the window prime is looked up only without a bound."""
+        facts = self._depths.get(r)
+        if facts is None:
+            n = self.n
+            bound = ones_power_bound(n, r) if depth_threshold_holds(n, r) else None
+            if bound is not None and bound >= 1:
+                bound = None
+            window = primes.window_prime(n, r) if bound is None else None
+            # Past depth 17 nothing is tabulated: rule 4 never applies and
+            # rules 4-6 are always best-effort.
+            threshold = primes.window_threshold(r) if r <= 17 else 0
+            facts = self._depths[r] = bound, window, n <= threshold, n >= threshold
+        return facts
+
+    def certify(self, comp: Composition, value: Pair | None = None) -> Fields:
+        """The fields of comp's certificate: the first rule of the cascade
+        that applies.  A value, the sum as a pair (num, den) with den > 0,
+        replaces every evaluation of it; RuntimeError if a check fails."""
+        n, r = self.n, comp.depth
+        if n == 1:
+            return TRIVIAL_INTEGER, n, comp, 0, None, None, None, False
+        if self.spec.star or r == 1:
+            # Rule 1: a prime n < p < 2n divides exactly one odd
+            # denominator.  For star sums, and for strict sums of depth 1,
+            # the term using it at every position is the unique one of
+            # minimal valuation, so the sum has valuation exactly -weight.
+            # The valuation is computed, not assumed.
+            p = self.bertrand
+            v = self.valuation(comp, p, value)
+            if v != -comp.weight:
+                raise RuntimeError(
+                    f"valuation law failed: v_{p} of {self.spec.ordering} sum at n={n}, "
+                    f"comp={comp} is {'not negative' if v is None else v}, "
+                    f"expected {-comp.weight}"
+                )
+            return STAR_VALUATION, n, comp, 1, p, v, None, False
+
+        bound, window, tabulated, best_effort = self._depth(r)
+        if bound is not None:
+            fields = DEPTH_BOUND, n, comp, 2, None, None, bound, False
+        # A window prime that certifies nothing is rare in principle only;
+        # a later rule then certifies.
+        elif window is not None and (v := self.valuation(comp, window, value)) is not None:
+            return WINDOW_VALUATION, n, comp, 3, window, v, None, False
+        elif tabulated and (ref := _magnitude_bound(comp.indices)) is not None:
+            fields = MAGNITUDE_BOUND, n, comp, 4, None, None, ref, best_effort
+        elif r < n and comp.indices[0] > (s1 := leading_exponent_bound(n, comp.indices[1:])):
+            fields = (LARGE_S1_BOUND, n, comp, 5, primes.bertrand_prime(n - r + 1), None,
+                      Fraction(s1), best_effort)
+        else:
+            fields = DIRECT_NON_INTEGER, n, comp, 6, None, None, None, best_effort
+
+        # Rule 6 is this check; for rules 2, 4 and 5 it is a cross-check.
+        if fields[0] == DIRECT_NON_INTEGER or n * r <= _VALUE_CHECK_LIMIT:
+            num, den = next(harmonic_sum_pairs(STRICT_ODD, comp, n, n)) if value is None else value
+            if num % den == 0:
+                raise RuntimeError(f"integer value {num // den} at n={n}, comp={comp} "
+                                   f"contradicts {fields[0]} certificate")
+        return fields
 
 
 def verify_star_noninteger(n: int, comp: CompositionLike, *,
@@ -314,9 +427,28 @@ def verify_star_noninteger(n: int, comp: CompositionLike, *,
     on that value instead of evaluating the sum again.
     """
     n, comp, value = _checked_case(STAR_ODD, n, comp, value)
-    if n == 1:
-        return Certificate(TRIVIAL_INTEGER, n, comp, rule_index=0)
-    return _bertrand_certificate(STAR_ODD, n, comp, value)
+    return Certificate(*_Point(STAR_ODD, n).certify(comp, value))
+
+
+def verify_odd_noninteger(n: int, comp: CompositionLike, *,
+                          value: ValueLike = None) -> Certificate:
+    """Certificate that the strict odd sum at n >= 2 is not an integer.
+
+    Runs the cascade of the module docstring; the first applicable rule
+    wins.  When n * depth <= 20,000 the exact value is also recomputed
+    and its denominator checked, whichever bound rule fired.  Certificates from
+    rules 4-6 outside the tabulated regime (n past the window threshold,
+    or depth > 17) are flagged best_effort.
+
+    Rules 1 and 3 take their valuation modulo a power of their prime,
+    without the value.  A caller that already holds the sum passes it as
+    value: a Fraction, an int or a pair (num, den) with den > 0,
+    unreduced or not, equal to harmonic_sum(STRICT_ODD, n, comp).  It
+    then replaces every evaluation of the sum: rules 1 and 3 read their
+    valuation and the final check its integrality off that exact value.
+    """
+    n, comp, value = _checked_case(STRICT_ODD, n, comp, value)
+    return Certificate(*_Point(STRICT_ODD, n).certify(comp, value))
 
 
 def valuation_under_window(n: int, r: int, comp: CompositionLike, p: int) -> int:
@@ -343,103 +475,6 @@ def valuation_under_window(n: int, r: int, comp: CompositionLike, p: int) -> int
             f"comp={comp} is not negative"
         )
     return v
-
-
-@lru_cache(maxsize=None)
-def _reference_sum(n: int, comp: tuple[int, ...]) -> Fraction:
-    return harmonic_sum(STRICT_ODD, n, comp)
-
-
-def _magnitude_bound(n: int, comp: Composition) -> Fraction | None:
-    """Exact reference bound < 1 dominating the sum at n, if one applies."""
-    r = comp.depth
-    if not 2 <= r <= 17:
-        return None
-    ref_n = primes.window_threshold(r)
-    if n > ref_n:
-        return None
-    if r <= 4:
-        for comparator in _MAGNITUDE_COMPARATORS[r]:
-            if dominates(comp, comparator):
-                bound = _reference_sum(ref_n, comparator.indices)
-                if bound < 1:
-                    return bound
-        return None
-    if r <= 10:
-        bound = _reference_sum(ref_n, (1,) * r)
-    else:
-        bound = ones_power_bound(ref_n, r)
-    return bound if bound < 1 else None
-
-
-# Rules 2, 4 and 5 bound the sum without its value; it is recomputed as a
-# check whenever n * depth is at most this.
-_VALUE_CHECK_LIMIT = 20_000
-
-
-def verify_odd_noninteger(n: int, comp: CompositionLike, *,
-                          value: ValueLike = None) -> Certificate:
-    """Certificate that the strict odd sum at n >= 2 is not an integer.
-
-    Runs the module-level cascade; the first applicable rule wins.  When
-    n * depth <= 20,000 the exact value is also recomputed and its
-    denominator checked, whichever bound rule fired.  Certificates from
-    rules 4-6 outside the tabulated regime (n past the window threshold,
-    or depth > 17) are flagged best_effort.
-
-    Rules 1 and 3 take their valuation modulo a power of their prime,
-    without the value.  A caller that already holds the sum passes it as
-    value: a Fraction, an int or a pair (num, den) with den > 0,
-    unreduced or not, equal to harmonic_sum(STRICT_ODD, n, comp).  It
-    then replaces every evaluation of the sum: rules 1 and 3 read their
-    valuation and the final check its integrality off that exact value.
-    """
-    n, comp, value = _checked_case(STRICT_ODD, n, comp, value)
-    if n == 1:
-        return Certificate(TRIVIAL_INTEGER, n, comp, rule_index=0)
-    r = comp.depth
-    if r == 1:
-        return _bertrand_certificate(STRICT_ODD, n, comp, value)
-
-    cert: Certificate | None = None
-    if depth_threshold_holds(n, r):
-        bound = ones_power_bound(n, r)
-        if bound < 1:
-            cert = Certificate(DEPTH_BOUND, n, comp, rule_index=2, bound=bound)
-
-    if cert is None:
-        p = primes.window_prime(n, r)
-        if p is not None:
-            v = _negative_valuation(STRICT_ODD, n, comp, p, value)
-            if v is not None:
-                return Certificate(WINDOW_VALUATION, n, comp, rule_index=3,
-                                   prime=p, valuation=v)
-            # else: rare in principle only; let a later rule certify
-
-    if cert is None:
-        best_effort = not (r <= 17 and n < primes.window_threshold(r))
-        bound = _magnitude_bound(n, comp)
-        if bound is not None:
-            cert = Certificate(MAGNITUDE_BOUND, n, comp, rule_index=4,
-                               bound=bound, best_effort=best_effort)
-        elif r < n:
-            s1_bound = leading_exponent_bound(n, comp.indices[1:])
-            if comp.indices[0] > s1_bound:
-                p = primes.bertrand_prime(n - r + 1)
-                cert = Certificate(LARGE_S1_BOUND, n, comp, rule_index=5,
-                                   prime=p, bound=Fraction(s1_bound),
-                                   best_effort=best_effort)
-        if cert is None:
-            cert = Certificate(DIRECT_NON_INTEGER, n, comp, rule_index=6,
-                               best_effort=best_effort)
-
-    # Rule 6 is this check; for rules 2, 4 and 5 it is a cross-check.
-    if cert.kind == DIRECT_NON_INTEGER or n * r <= _VALUE_CHECK_LIMIT:
-        num, den = next(harmonic_sum_pairs(STRICT_ODD, comp, n, n)) if value is None else value
-        if num % den == 0:
-            raise RuntimeError(f"integer value {num // den} at n={n}, comp={comp} "
-                               f"contradicts {cert.kind} certificate")
-    return cert
 
 
 @dataclass(frozen=True)

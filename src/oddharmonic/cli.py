@@ -15,6 +15,8 @@ from fractions import Fraction
 from . import hyper, primes
 from .certificates import (
     TRIVIAL_INTEGER,
+    _json_line,
+    _Point,
     decimal_bound_checks,
     verify_odd_noninteger,
     verify_star_noninteger,
@@ -143,8 +145,7 @@ def _sweep_grid(spec: SumSpec, n_lo: int, weight_max: int, depth_max: int):
 
 
 def _cmd_sweep(args) -> int:
-    spec, verifier = ((STAR_ODD, verify_star_noninteger) if args.ordering == "star"
-                      else (STRICT_ODD, verify_odd_noninteger))
+    spec = STAR_ODD if args.ordering == "star" else STRICT_ODD
     depth_max = args.depth_max if args.depth_max is not None else args.weight_max
     state = _sweep_state_bytes(args.n_min, args.n_max, args.weight_max, depth_max, spec.star)
     if state > SWEEP_STATE_LIMIT_BYTES:
@@ -156,24 +157,26 @@ def _cmd_sweep(args) -> int:
         return 0
     # The compositions sharing a key share one trie, and the tries advance
     # in lockstep over n; a composition has rows from n = its depth on.
-    # Each row's certificate reads its node's unreduced (num, den) pair:
-    # no Fraction is built.
+    # One point per n holds what its rows share.  Each row is certified from
+    # its node's unreduced (num, den) pair and written from the
+    # certificate's fields: no Fraction and no Certificate is built.
     tries, rows = _sweep_grid(spec, n_lo, args.weight_max, min(depth_max, args.n_max))
     folds = [_fold(spec, trie, range(args.n_max), n_lo - 1) for trie in tries]
     write, failures = sys.stdout.write, 0
     for n in range(n_lo, args.n_max + 1):
         states = {trie: next(fold) for trie, fold in zip(tries, folds)}
+        certify = _Point(spec, n).certify
         for comp, start, trie, node in rows:
             if n < start:
                 continue
             v, den = states[trie]
             try:
-                cert = verifier(n, comp, value=(v[node], den))
+                fields = certify(comp, (v[node], den))
             except RuntimeError as exc:
                 print(f"FAIL n={n} comp={comp}: {exc}", file=sys.stderr)
                 failures += 1
                 continue
-            write(cert.json_line() + "\n")
+            write(_json_line(*fields) + "\n")
     return 1 if failures else 0
 
 

@@ -1,7 +1,9 @@
 """Certificate engine: rule routing, soundness, and the bound tables."""
 
+import dataclasses
 import json
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,7 +21,7 @@ from oddharmonic.certificates import (
     TRIVIAL_INTEGER,
     WINDOW_VALUATION,
     Certificate,
-    _negative_valuation,
+    _Point,
     decimal_bound_checks,
     depth_threshold_holds,
     leading_exponent_bound,
@@ -380,9 +382,12 @@ def test_given_pair_is_read_through_the_closed_form():
     # with one more p in den are not, and take the two integer valuations;
     # every reading agrees with the two integer valuations
     specs = {verify_odd_noninteger: STRICT_ODD, verify_star_noninteger: STAR_ODD}
-    checked = 0
+    points, checked = {}, 0
     for verifier, n, comp, (num, den) in _grid_cases():
         spec, comp = specs[verifier], Composition(comp)
+        point = points.get((spec, n))
+        if point is None:
+            point = points[spec, n] = _Point(spec, n)
         ps = {bertrand_prime(2 * n)}  # above 2n, so e = 0
         if n >= 2:
             ps.add(bertrand_prime(n))
@@ -395,10 +400,10 @@ def test_given_pair_is_read_through_the_closed_form():
             assert int_valuation(den, p) == _den_valuation(spec, n, comp, p), (n, comp, p)
             for pair in ((num, den), (reduced.numerator, reduced.denominator),
                          (num * p ** 2, den * p ** 2), (num, den * p)):
-                assert (_negative_valuation(spec, n, comp, p, pair)
+                assert (point.valuation(comp, p, pair)
                         == _valuation_from_both_integers(*pair, p)), (n, comp, p, pair)
                 checked += 1
-    assert checked > 200_000
+    assert checked == 215_044
 
 
 def test_given_value_needs_no_primality_test(monkeypatch):
@@ -502,6 +507,30 @@ def test_json_line_is_the_json_of_to_json():
             assert cert.json_line() == json.dumps(cert.to_json()), cert.kind
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_certificate_is_a_frozen_value():
+    # slots, no __dict__; assignment refused; == and hash by fields; pickles
+    cert = verify_odd_noninteger(12, (1, 1))
+    assert not hasattr(cert, "__dict__")
+    for name, value in (("prime", 13), ("kind", DEPTH_BOUND), ("best_effort", True)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cert, name, value)
+    twin = Certificate(WINDOW_VALUATION, 12, Composition((1, 1)), rule_index=3,
+                       prime=11, valuation=-1)
+    assert twin == cert and hash(twin) == hash(cert)
+    for field in ("kind", "n", "composition", "rule_index", "prime", "valuation",
+                  "bound", "best_effort"):
+        other = dataclasses.replace(cert, **{field: getattr(Certificate(
+            DIRECT_NON_INTEGER, 13, Composition((1, 2)), 6, 7, -2, F(1, 3), True), field)})
+        assert other != cert, field
+    certs = [cert, verify_odd_noninteger(5, (1, 2)), verify_odd_noninteger(26, (1, 1)),
+             verify_star_noninteger(9, (1, 2)), verify_odd_noninteger(1, (5,))]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        for c in certs:
+            back = pickle.loads(pickle.dumps(c, protocol))
+            assert back == c and hash(back) == hash(c), (protocol, c)
+            assert back.json_line() == c.json_line()
 
 
 def test_certificates_are_reproducible():

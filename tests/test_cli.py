@@ -9,7 +9,6 @@ import pytest
 
 from oddharmonic import cli, hyper, primes
 from oddharmonic.certificates import (
-    Certificate,
     verify_odd_noninteger,
     verify_star_noninteger,
 )
@@ -176,24 +175,58 @@ def test_sweep_output_digest(capsys, family, flags, digest, lines):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_sweep_lines_are_the_json_of_their_certificates(capsys, monkeypatch):
-    # every line of every pinned sweep, written by json_line, is what
-    # json.dumps makes of the certificate's to_json
-    json_line, count = Certificate.json_line, 0
+VERIFIERS = {"--strict": verify_odd_noninteger, "--star": verify_star_noninteger}
+SPECS = {"--strict": STRICT_ODD, "--star": STAR_ODD}
 
-    def checked(cert):
-        nonlocal count
-        line = json_line(cert)
-        assert line == json.dumps(cert.to_json())
-        count += 1
-        return line
 
-    monkeypatch.setattr(Certificate, "json_line", checked)
+def _case(line):
+    doc = json.loads(line)
+    return doc["n"], tuple(int(t) for t in doc["composition"].split(","))
+
+
+def test_sweep_lines_are_the_json_of_their_certificates(capsys):
+    # every line of every pinned sweep is what json.dumps makes of the
+    # to_json of the single-case certificate, computed with no value
     for family, flags, digest, lines in PINNED_SWEEPS:
         code, out, _ = run(capsys, "sweep", "--n-max", "12", "--weight-max", "6",
                            family, *flags)
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
-    assert count == sum(lines for *_, lines in PINNED_SWEEPS)
+        assert len(out.splitlines()) == lines
+        for line in out.splitlines():
+            cert = VERIFIERS[family](*_case(line))
+            assert line == json.dumps(cert.to_json()), (family, flags, line)
+
+
+@pytest.mark.parametrize("family", ["--strict", "--star"])
+def test_sweep_and_verify_run_one_cascade(capsys, family):
+    # over the benchmark grid, the sweep line, the certificate with no
+    # value and the certificate given the reduced Fraction agree field for
+    # field
+    code, out, err = run(capsys, "sweep", *BENCH_GRID, family)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 9423
+    verifier, spec = VERIFIERS[family], SPECS[family]
+    for line in lines:
+        n, comp = _case(line)
+        plain = verifier(n, comp)
+        given = verifier(n, comp, value=harmonic_sum(spec, n, comp))
+        assert plain == given and json.loads(line) == plain.to_json(), line
+
+
+@pytest.mark.parametrize("family", ["--strict", "--star"])
+def test_sweep_checks_no_case_it_built(capsys, monkeypatch, family):
+    # sweep built its compositions itself, so no row re-checks its case
+    def refuse(*args):
+        raise AssertionError("sweep re-checked a case")
+
+    monkeypatch.setattr("oddharmonic.certificates._checked_case", refuse)
+    for _, flags, digest, lines in [s for s in PINNED_SWEEPS if s[0] == family]:
+        code, out, err = run(capsys, "sweep", "--n-max", "12", "--weight-max", "6",
+                             family, *flags)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("family", ["--strict", "--star"])
