@@ -14,7 +14,6 @@ from .certificates import (
     depth_threshold_holds,
     leading_exponent_bound,
     tail_coefficients,
-    valuation_under_window,
     verify_odd_noninteger,
     verify_star_noninteger,
 )

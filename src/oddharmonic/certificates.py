@@ -15,9 +15,9 @@ forces valuation -weight.  The strict family runs a fixed cascade:
 Ties resolve to the earliest rule, so certificates are reproducible.
 The cascade runs in one private object per (family, n), `_Point`, which
 holds what no composition changes: the Bertrand prime, the valuation e
-of the fold's denominator at each (prime, key) with p**e and p**(e+1),
-and per depth the rule-2 bound, the window prime and whether rule 4
-applies and rules 4-6 are best-effort.  `verify_*` checks its case,
+of the fold's denominator at each (prime, key) with p**e, and per depth
+the rule-2 bound, the window prime and whether rule 4 applies and rules
+4-6 are best-effort.  `verify_*` checks its case,
 makes one point and wraps the fields that `_Point.certify` returns in a
 `Certificate`; `sweep` makes one point per n, certifies every row it
 built itself and writes each line from the fields with `_json_line`, the
@@ -26,18 +26,14 @@ depends on n only through n <= the window threshold of its depth, so it
 is cached per composition.
 
 Rules 1 and 3 fold the sum modulo a power of their prime, which decides
-the valuation exactly without the value (`sums.negative_valuation`); a
-caller that already holds the value has it read off that instead: modulo
-the same power of p when its denominator has the fold's closed-form
-valuation, as the fold's own pairs do, and otherwise as the valuation of
-its numerator minus that of its denominator.  Their primes
-come from the prime searches in `primes`, so neither reading tests primality again.
+the valuation exactly without the value (`sums.negative_valuation`).
+`sweep` already holds each row as the fold's unreduced pair (num, den),
+whose denominator has the closed-form valuation e, so it hands that pair
+over and the valuation is read off num modulo p**e instead; the final
+check num % den == 0 needs no gcd either.  The primes come from the
+prime searches in `primes`, so no reading tests primality again.
 Whenever the exact value is cheap enough to recompute, the engine checks
 non-integrality directly for the bound rules (2, 4 and 5) as well.
-Inside the cascade a value is an integer pair (num, den) with den > 0,
-reduced or not: both readings, and the final check num % den == 0, are
-the same on any such pair, so `sweep` hands over the fold's unreduced
-pairs and no gcd is taken.
 
 A caution on rule 3: at depth >= 2 a window prime p divides only
 ceil(r/2) of the odd numbers below 2n (even multiples of p are never odd
@@ -60,7 +56,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import starmap
-from typing import Union
 
 from . import primes
 from .exact import int_valuation
@@ -133,7 +128,7 @@ def _json_line(kind: str, n: int, composition: Composition, rule_index: int,
             f'"rule_index": {rule_index}{tail}}}')
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Certificate:
     """Witness of (non-)integrality for one (n, composition) case."""
 
@@ -250,33 +245,16 @@ def depth_threshold_holds(n: int, r: int) -> bool:
     return True
 
 
-# A value as the cascade reads it: (numerator, denominator > 0), not
-# necessarily reduced.
+# The fold's unreduced (numerator, denominator) of one sum.
 Pair = tuple[int, int]
-ValueLike = Union[Fraction, int, Pair, None]
 
 
-def _checked_case(spec: SumSpec, n: int, comp: CompositionLike,
-                  value: ValueLike = None) -> tuple[int, Composition, Pair | None]:
-    """The validated n, all-positive composition and value pair of one
-    case.  A Fraction or an int becomes its (numerator, denominator); a
-    value that no rule could read, neither None nor one of those nor a
-    pair of ints with den > 0, is refused here, before any rule runs."""
-    if (isinstance(value, tuple) and len(value) == 2
-            and isinstance(value[0], int) and isinstance(value[1], int)):
-        if value[1] <= 0:
-            raise ValueError(f"value pair needs a positive denominator, got {value[1]}")
-    elif isinstance(value, Fraction):
-        value = value.numerator, value.denominator
-    elif isinstance(value, int):
-        value = value, 1
-    elif value is not None:
-        raise TypeError("value must be None, an int, a Fraction or a pair of ints "
-                        f"(num, den), not {type(value).__name__}")
+def _checked_case(spec: SumSpec, n: int, comp: CompositionLike) -> tuple[int, Composition]:
+    """The validated n and all-positive composition of one case."""
     comp = Composition.coerce(comp)
     if not comp.all_positive:
         raise ValueError("integrality certificates cover all-positive compositions")
-    return spec.validate(n, comp), comp, value
+    return spec.validate(n, comp), comp
 
 
 @lru_cache(maxsize=None)
@@ -323,35 +301,25 @@ class _Point:
     def __init__(self, spec: SumSpec, n: int):
         self.spec, self.n = spec, n
         self.bertrand = primes.bertrand_prime(n) if n >= 2 else None
-        self._powers: dict[tuple[int, int], tuple[int, int, int]] = {}
+        self._powers: dict[tuple[int, int], tuple[int, int]] = {}
         self._depths: dict[int, tuple[Fraction | None, int | None, bool, bool]] = {}
 
     def valuation(self, comp: Composition, p: int, value: Pair | None) -> int | None:
         """v_p of the sum if it is negative, else None; p comes from a prime
         search, so it is not tested again.  Without a value the sum is
-        folded modulo a power of p (`sums.negative_valuation`).
-
-        A given pair is first tried as the fold's own: when its denominator
-        has exactly the fold's closed-form valuation e, which one remainder
-        modulo p**(e+1) shows, the numerator modulo p**e decides, as in
-        `sums.negative_valuation`.  Any other pair, a reduced Fraction for
-        one, is read with integers, numerator valuation minus denominator
-        valuation."""
+        folded modulo a power of p (`sums.negative_valuation`).  The fold's
+        own pair has a denominator of valuation exactly e, the closed form,
+        so its numerator modulo p**e decides, as in that fold."""
         if value is None:
             return negative_valuation(self.spec, self.n, comp, p)
-        num, den = value
         at = p, PrefixTrie.key_of(self.spec, comp)
         powers = self._powers.get(at)
         if powers is None:
             e = _den_valuation(self.spec, self.n, comp, p)
-            powers = self._powers[at] = e, p ** e, p ** (e + 1)
-        e, pe, pe1 = powers
-        rest = den % pe1
-        if rest and not rest % pe:  # v_p(den) == e
-            x = num % pe
-            return int_valuation(x, p) - e if x else None
-        v = int_valuation(num, p) - int_valuation(den, p)
-        return v if v < 0 else None
+            powers = self._powers[at] = e, p ** e
+        e, pe = powers
+        x = value[0] % pe
+        return int_valuation(x, p) - e if x else None
 
     def _depth(self, r: int) -> tuple[Fraction | None, int | None, bool, bool]:
         """(rule-2 bound, window prime, rule 4 applies, best_effort) at
@@ -371,7 +339,7 @@ class _Point:
 
     def certify(self, comp: Composition, value: Pair | None = None) -> Fields:
         """The fields of comp's certificate: the first rule of the cascade
-        that applies.  A value, the sum as a pair (num, den) with den > 0,
+        that applies.  A value, the fold's own pair (num, den) of the sum,
         replaces every evaluation of it; RuntimeError if a check fails."""
         n, r = self.n, comp.depth
         if n == 1:
@@ -416,65 +384,27 @@ class _Point:
         return fields
 
 
-def verify_star_noninteger(n: int, comp: CompositionLike, *,
-                           value: ValueLike = None) -> Certificate:
+def verify_star_noninteger(n: int, comp: CompositionLike) -> Certificate:
     """Certificate that the odd star sum at n >= 2 is not an integer.
 
-    A prime n < p < 2n forces valuation exactly -weight (rule 1).  A
-    caller that already holds the sum passes it as value: a Fraction, an
-    int or a pair (num, den) with den > 0, unreduced or not, equal to
-    harmonic_sum(STAR_ODD, n, comp).  Rule 1 then checks its valuation
-    on that value instead of evaluating the sum again.
+    A prime n < p < 2n forces valuation exactly -weight (rule 1).
     """
-    n, comp, value = _checked_case(STAR_ODD, n, comp, value)
-    return Certificate(*_Point(STAR_ODD, n).certify(comp, value))
+    n, comp = _checked_case(STAR_ODD, n, comp)
+    return Certificate(*_Point(STAR_ODD, n).certify(comp))
 
 
-def verify_odd_noninteger(n: int, comp: CompositionLike, *,
-                          value: ValueLike = None) -> Certificate:
+def verify_odd_noninteger(n: int, comp: CompositionLike) -> Certificate:
     """Certificate that the strict odd sum at n >= 2 is not an integer.
 
     Runs the cascade of the module docstring; the first applicable rule
     wins.  When n * depth <= 20,000 the exact value is also recomputed
     and its denominator checked, whichever bound rule fired.  Certificates from
     rules 4-6 outside the tabulated regime (n past the window threshold,
-    or depth > 17) are flagged best_effort.
-
-    Rules 1 and 3 take their valuation modulo a power of their prime,
-    without the value.  A caller that already holds the sum passes it as
-    value: a Fraction, an int or a pair (num, den) with den > 0,
-    unreduced or not, equal to harmonic_sum(STRICT_ODD, n, comp).  It
-    then replaces every evaluation of the sum: rules 1 and 3 read their
-    valuation and the final check its integrality off that exact value.
+    or depth > 17) are flagged best_effort.  Rules 1 and 3 take their
+    valuation modulo a power of their prime, without the value.
     """
-    n, comp, value = _checked_case(STRICT_ODD, n, comp, value)
-    return Certificate(*_Point(STRICT_ODD, n).certify(comp, value))
-
-
-def valuation_under_window(n: int, r: int, comp: CompositionLike, p: int) -> int:
-    """Exact valuation of the strict odd sum at a window prime.
-
-    Checks the window preconditions (p prime, p > r+1, p*(r+1) >= 2n,
-    p*r < 2n) and takes the valuation as rule 3 does, modulo a power of
-    p, raising RuntimeError unless it is negative.  At depth 1 it equals
-    -weight; at higher depth it does not in general (see the module
-    docstring), so negativity is the certified fact.
-    """
-    n, comp, _ = _checked_case(STRICT_ODD, n, comp)
-    if comp.depth != r:
-        raise ValueError(f"composition depth {comp.depth} != r = {r}")
-    if not primes.is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    lo, hi = primes._window(2 * n, r)
-    if not max(lo, r + 2) <= p <= hi:
-        raise ValueError(f"p = {p} is not a window prime for n = {n}, r = {r}")
-    v = negative_valuation(STRICT_ODD, n, comp, p)
-    if v is None:
-        raise RuntimeError(
-            f"window certificate failed: v_{p} of odd sum at n={n}, "
-            f"comp={comp} is not negative"
-        )
-    return v
+    n, comp = _checked_case(STRICT_ODD, n, comp)
+    return Certificate(*_Point(STRICT_ODD, n).certify(comp))
 
 
 @dataclass(frozen=True)

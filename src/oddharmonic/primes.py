@@ -127,7 +127,7 @@ def window_prime(n: int, r: int) -> int | None:
     The certificate engine tries such a prime first when showing a
     depth-r odd sum at n is not an integer; whether it certifies is then
     decided by the valuation at p, folded modulo a power of p or read off
-    a given value (it is usually negative).
+    the fold's own pair (it is usually negative).
     """
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")

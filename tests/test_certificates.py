@@ -26,7 +26,6 @@ from oddharmonic.certificates import (
     depth_threshold_holds,
     leading_exponent_bound,
     tail_coefficients,
-    valuation_under_window,
     verify_odd_noninteger,
     verify_star_noninteger,
 )
@@ -36,10 +35,12 @@ from oddharmonic.sums import (
     STAR_ODD,
     STRICT_ODD,
     Composition,
+    PrefixTrie,
     _den_valuation,
     compositions,
     harmonic_sum,
     harmonic_sum_pairs,
+    negative_valuation,
 )
 
 F = Fraction
@@ -81,8 +82,6 @@ def test_non_integral_n_gets_no_certificate():
         verify_odd_noninteger(7.5, (1, 2))
     with pytest.raises((TypeError, ValueError)):
         verify_star_noninteger(7.5, (1, 2))
-    with pytest.raises((TypeError, ValueError)):
-        valuation_under_window(7.5, 2, (1, 2), 5)
     assert verify_odd_noninteger(7, (1, 2)).n == 7
 
 
@@ -91,24 +90,17 @@ def test_non_integral_n_gets_no_certificate():
 def test_window_valuation_is_negative_but_not_weight():
     # a window prime divides only ceil(r/2) odd numbers below 2n, so the
     # valuation is negative yet exceeds -weight at depth >= 2
-    assert valuation_under_window(12, 2, (1, 1), 11) == -1
-    assert valuation_under_window(12, 2, (2, 3), 11) == -2
-    assert valuation_under_window(2, 1, (1,), 3) == -1  # depth 1: exactly -weight
-
-
-def test_window_valuation_rejects_bad_prime():
-    with pytest.raises(ValueError):
-        valuation_under_window(12, 2, (1, 1), 13)   # 13*2 >= 24 fails window
-    with pytest.raises(ValueError):
-        valuation_under_window(12, 2, (1, 1), 9)    # not prime
-    with pytest.raises(ValueError):
-        valuation_under_window(12, 3, (1, 1), 11)   # depth mismatch
+    assert window_prime(12, 2) == 11
+    assert negative_valuation(STRICT_ODD, 12, (1, 1), 11) == -1
+    assert negative_valuation(STRICT_ODD, 12, (2, 3), 11) == -2
+    assert window_prime(2, 1) == 3
+    assert negative_valuation(STRICT_ODD, 2, (1,), 3) == -1  # depth 1: exactly -weight
 
 
 def test_window_prime_can_fail_to_certify():
-    # cancellation mod p can lift the valuation to zero or above; the
-    # function refuses to return a useless witness, and the sum is still
-    # a non-integer by other primes
+    # cancellation mod p can lift the valuation to zero or above; no
+    # negative valuation is returned, and the sum is still a non-integer
+    # by other primes
     known = [
         (26, 2, (1, 1), 23, 2),
         (10, 3, (1, 1, 1), 5, 0),
@@ -116,24 +108,22 @@ def test_window_prime_can_fail_to_certify():
         (7, 2, (2, 1), 5, 0),
     ]
     for n, r, comp, p, v in known:
+        assert window_prime(n, r) == p
         assert padic_valuation(harmonic_sum(STRICT_ODD, n, comp), p) == v
-        with pytest.raises(RuntimeError):
-            valuation_under_window(n, r, comp, p)
+        assert negative_valuation(STRICT_ODD, n, comp, p) is None
         assert harmonic_sum(STRICT_ODD, n, comp).denominator > 1
         assert verify_odd_noninteger(n, comp).kind != TRIVIAL_INTEGER
 
 
 def test_window_valuation_negative_or_fallthrough_across_grid():
-    from oddharmonic.primes import window_prime
     for r in (2, 3):
         for n in range(r, 60):
             p = window_prime(n, r)
             if p is None:
                 continue
             for comp in ((1,) * r, (2,) + (1,) * (r - 1), (1,) * (r - 1) + (3,)):
-                try:
-                    v = valuation_under_window(n, r, comp, p)
-                except RuntimeError:
+                v = negative_valuation(STRICT_ODD, n, comp, p)
+                if v is None:
                     # window prime useless here; the cascade still certifies
                     cert = verify_odd_noninteger(n, comp)
                     assert cert.kind != TRIVIAL_INTEGER
@@ -304,37 +294,51 @@ def test_cascade_depth_rules():
     assert cert.bound < 1
 
 
+def _certify(spec, n, comp, pair):
+    return Certificate(*_Point(spec, n).certify(Composition(comp), pair))
+
+
+def _fold_pair(spec, n, comp):
+    return next(harmonic_sum_pairs(spec, comp, n, n))
+
+
 def test_given_value_is_what_each_rule_checks():
-    # rule 1 reads its valuation off the given value
+    # rule 1 reads its valuation off the fold's pair
     for verifier, spec in ((verify_star_noninteger, STAR_ODD),
                            (verify_odd_noninteger, STRICT_ODD)):
-        value = harmonic_sum(spec, 9, (2,))
-        cert = verifier(9, (2,), value=value)
+        num, den = _fold_pair(spec, 9, (2,))
+        cert = _certify(spec, 9, (2,), (num, den))
         assert cert == verifier(9, (2,))
         with pytest.raises(RuntimeError, match="valuation law"):
-            verifier(9, (2,), value=value * cert.prime)
+            _certify(spec, 9, (2,), (num * cert.prime, den))
         # v_p of this value is 0: no negative valuation was found at all
         with pytest.raises(RuntimeError, match="is not negative, expected -2"):
-            verifier(9, (2,), value=value * cert.prime ** 2)
-        # the same on the fold's unreduced pair
-        num, den = next(harmonic_sum_pairs(spec, (2,), 9, 9))
-        assert verifier(9, (2,), value=(num, den)) == cert
-        with pytest.raises(RuntimeError, match="valuation law"):
-            verifier(9, (2,), value=(num * cert.prime, den))
-        with pytest.raises(RuntimeError, match="is not negative, expected -2"):
-            verifier(9, (2,), value=(num * cert.prime ** 2, den))
-    # so does rule 3
-    value = harmonic_sum(STRICT_ODD, 12, (1, 1))
-    cert = verify_odd_noninteger(12, (1, 1), value=value)
-    assert cert == verify_odd_noninteger(12, (1, 1))
-    cert = verify_odd_noninteger(12, (1, 1), value=value / 11)
+            _certify(spec, 9, (2,), (num * cert.prime ** 2, den))
+    # so does rule 3; at (2, 3) the numerator carries one 11 (e = 3), so
+    # dividing it out moves the valuation from -2 to -3; at (1, 1), e = 1
+    # and one more 11 in the numerator leaves nothing negative to read
+    num, den = _fold_pair(STRICT_ODD, 12, (2, 3))
+    cert = _certify(STRICT_ODD, 12, (2, 3), (num, den))
+    assert cert == verify_odd_noninteger(12, (2, 3))
     assert (cert.kind, cert.prime, cert.valuation) == (WINDOW_VALUATION, 11, -2)
+    cert = _certify(STRICT_ODD, 12, (2, 3), (num // 11, den))
+    assert (cert.kind, cert.prime, cert.valuation) == (WINDOW_VALUATION, 11, -3)
+    num, den = _fold_pair(STRICT_ODD, 12, (1, 1))
+    assert _certify(STRICT_ODD, 12, (1, 1), (num, den)) == verify_odd_noninteger(12, (1, 1))
+    assert _certify(STRICT_ODD, 12, (1, 1), (num * 11, den)).kind != WINDOW_VALUATION
     # and the final denominator check, after each of rules 2-6
     for n, comp in ((8, (1,) * 8), (12, (1, 1)), (5, (1, 2)), (5, (3, 1)), (5, (1, 1))):
+        _, den = _fold_pair(STRICT_ODD, n, comp)
         with pytest.raises(RuntimeError, match="integer value 3 "):
-            verify_odd_noninteger(n, comp, value=Fraction(3))
-        with pytest.raises(RuntimeError, match="integer value 3 "):
-            verify_odd_noninteger(n, comp, value=(6, 2))
+            _certify(STRICT_ODD, n, comp, (3 * den, den))
+
+
+def test_verify_takes_no_value():
+    # the cascade reads only the fold's own pairs, which verify_* never has
+    for verifier in (verify_odd_noninteger, verify_star_noninteger):
+        for value in (Fraction(1, 3), 1, (1, 3)):
+            with pytest.raises(TypeError):
+                verifier(9, (2,), value=value)
 
 
 def _grid_cases():
@@ -347,40 +351,14 @@ def _grid_cases():
                 yield verifier, n, comp, pair
 
 
-def test_pair_fraction_and_none_values_give_equal_certificates():
-    # the cascade reads a pair, unreduced or not, as it reads the Fraction,
-    # and both as it reads no value at all
-    kinds = set()
-    for verifier, n, comp, (num, den) in _grid_cases():
-        cert = verifier(n, comp, value=(num, den))
-        assert cert == verifier(n, comp, value=Fraction(num, den)), (n, comp)
-        assert cert == verifier(n, comp), (n, comp)
-        kinds.add(cert.kind)
-    assert kinds == {TRIVIAL_INTEGER, STAR_VALUATION, WINDOW_VALUATION, DEPTH_BOUND,
-                     MAGNITUDE_BOUND, LARGE_S1_BOUND, DIRECT_NON_INTEGER}
-    # rule 6 after the rule-3 fall-throughs, and where no window prime exists
-    for n, comp in ((26, (1, 1)), (10, (1, 1, 1)), (5, (1, 1)), (34, (1, 1, 1, 1))):
-        num, den = next(harmonic_sum_pairs(STRICT_ODD, comp, n, n))
-        cert = verify_odd_noninteger(n, comp, value=(num, den))
-        assert cert.kind == DIRECT_NON_INTEGER, (n, comp)
-        assert cert == verify_odd_noninteger(n, comp, value=Fraction(num, den))
-        assert cert == verify_odd_noninteger(n, comp)
-        # a reduced pair reads the same as the unreduced one
-        reduced = Fraction(num, den)
-        assert cert == verify_odd_noninteger(
-            n, comp, value=(reduced.numerator, reduced.denominator))
-
-
 def _valuation_from_both_integers(num, den, p):
     v = int_valuation(num, p) - int_valuation(den, p)
     return v if v < 0 else None
 
 
 def test_given_pair_is_read_through_the_closed_form():
-    # the fold's own pair has the closed-form denominator valuation, so it
-    # is read modulo p**e; reduced pairs, pairs scaled by p**2 and pairs
-    # with one more p in den are not, and take the two integer valuations;
-    # every reading agrees with the two integer valuations
+    # the fold's own pair has the closed-form denominator valuation e, so
+    # its numerator modulo p**e gives what the two integer valuations give
     specs = {verify_odd_noninteger: STRICT_ODD, verify_star_noninteger: STAR_ODD}
     points, checked = {}, 0
     for verifier, n, comp, (num, den) in _grid_cases():
@@ -395,58 +373,49 @@ def test_given_pair_is_read_through_the_closed_form():
             ps.add(window_prime(n, comp.depth) or 3)
         if n % 7 == 0:
             ps.update((3, 5, 7))  # e up to 19 times the key
-        reduced = Fraction(num, den)
         for p in ps:
             assert int_valuation(den, p) == _den_valuation(spec, n, comp, p), (n, comp, p)
-            for pair in ((num, den), (reduced.numerator, reduced.denominator),
-                         (num * p ** 2, den * p ** 2), (num, den * p)):
-                assert (point.valuation(comp, p, pair)
-                        == _valuation_from_both_integers(*pair, p)), (n, comp, p, pair)
-                checked += 1
-    assert checked == 215_044
+            assert (point.valuation(comp, p, (num, den))
+                    == _valuation_from_both_integers(num, den, p)), (n, comp, p)
+            checked += 1
+    assert checked == 53_761
+
+
+def test_fold_denominator_has_the_closed_form_valuation():
+    # what the single reading relies on, out to n = 200 at weight <= 4: at
+    # the Bertrand prime and at the window prime of every depth, which can
+    # lie below n, where e exceeds the key
+    checked = above_key = 0
+    for spec in (STRICT_ODD, STAR_ODD):
+        for comp in map(Composition, compositions(4)):
+            pairs = harmonic_sum_pairs(spec, comp, max(2, comp.depth), 200)
+            for n, (_, den) in enumerate(pairs, start=max(2, comp.depth)):
+                ps = {bertrand_prime(n)} | {window_prime(n, r) for r in range(1, min(n, 4) + 1)}
+                for p in ps - {None}:
+                    e = _den_valuation(spec, n, comp, p)
+                    assert int_valuation(den, p) == e, (spec, n, comp, p)
+                    checked += 1
+                    above_key += e > PrefixTrie.key_of(spec, comp)
+    assert (checked, above_key) == (22_848, 11_070)
 
 
 def test_given_value_needs_no_primality_test(monkeypatch):
-    # the primes of rules 1 and 3 come from prime searches; a given value is
-    # read at them with integers, so is_prime is never asked again
+    # the primes of rules 1 and 3 come from prime searches; the fold's pair
+    # is read at them with integers, so is_prime is never asked again
     cases = [(verify_star_noninteger, STAR_ODD, 9, (2,)),
              (verify_odd_noninteger, STRICT_ODD, 9, (2,)),
              (verify_odd_noninteger, STRICT_ODD, 12, (1, 1)),
              (verify_odd_noninteger, STRICT_ODD, 40, (1, 2, 1))]
     expected = [verifier(n, comp) for verifier, _, n, comp in cases]
     assert [c.kind for c in expected] == [STAR_VALUATION] * 2 + [WINDOW_VALUATION] * 2
+    pairs = [_fold_pair(spec, n, comp) for _, spec, n, comp in cases]
 
     def refuse(m):
         raise AssertionError(f"is_prime({m}) called")
 
     monkeypatch.setattr("oddharmonic.primes.is_prime", refuse)
-    for (verifier, spec, n, comp), cert in zip(cases, expected):
-        assert verifier(n, comp, value=harmonic_sum(spec, n, comp)) == cert
-
-
-@pytest.mark.parametrize("value", [0.5, "1/3"])
-def test_given_value_of_another_type_is_refused(value):
-    # refused at entry, before any rule could read it
-    cases = [(verify_star_noninteger, 9, (2,)), (verify_odd_noninteger, 9, (2,)),
-             (verify_odd_noninteger, 12, (1, 1)), (verify_odd_noninteger, 5, (1, 2))]
-    for verifier, n, comp in cases:
-        with pytest.raises(TypeError, match="value must be"):
-            verifier(n, comp, value=value)
-
-
-@pytest.mark.parametrize("value, error", [
-    ((1,), TypeError), ((1, 2, 3), TypeError), ((1.0, 2), TypeError),
-    ((1, 2.0), TypeError), ([1, 2], TypeError), ((1, 0), ValueError),
-    ((1, -2), ValueError),
-])
-def test_given_malformed_pair_is_refused(value, error):
-    # refused at entry, even where no rule would read it (n = 1)
-    cases = [(verify_star_noninteger, 9, (2,)), (verify_odd_noninteger, 9, (2,)),
-             (verify_odd_noninteger, 12, (1, 1)), (verify_odd_noninteger, 5, (1, 2)),
-             (verify_odd_noninteger, 1, (5,)), (verify_star_noninteger, 1, (5,))]
-    for verifier, n, comp in cases:
-        with pytest.raises(error, match="value"):
-            verifier(n, comp, value=value)
+    for (_, spec, n, comp), pair, cert in zip(cases, pairs, expected):
+        assert _certify(spec, n, comp, pair) == cert
 
 
 def test_cascade_rejects_bad_input():
@@ -510,9 +479,11 @@ def test_json_line_is_the_json_of_to_json():
 
 
 def test_certificate_is_a_frozen_value():
-    # slots, no __dict__; assignment refused; == and hash by fields; pickles
+    # assignment refused, to a field or any other name; == and hash by
+    # fields; pickles
     cert = verify_odd_noninteger(12, (1, 1))
-    assert not hasattr(cert, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cert, "note", "x")
     for name, value in (("prime", 13), ("kind", DEPTH_BOUND), ("best_effort", True)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(cert, name, value)

@@ -64,7 +64,7 @@ def test_plus_infinity_ordering():
     assert not PLUS_INFINITY < -5
     assert PLUS_INFINITY + 3 == PLUS_INFINITY
     assert 3 + PLUS_INFINITY == PLUS_INFINITY
-    assert not isinstance(PLUS_INFINITY, int)  # the cascade's finiteness guard
+    assert not isinstance(PLUS_INFINITY, int)  # v_p(0) never passes for a finite valuation
 
 
 @given(rationals, rationals, small_primes)
