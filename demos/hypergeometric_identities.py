@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Terminating hypergeometric evaluations of the depth-one sums.
 
-Each identity is checked by computing both sides as exact rationals.
+Each identity is checked by computing both sides as exact rationals.  The
+`*_prefixes` generators yield the values for n = 1, 2, ..., so the value
+at one n is the last one they yield.
 """
 
 from fractions import Fraction
@@ -13,13 +15,12 @@ from oddharmonic import (
     binomial_inversion,
     binomial_transform,
     chu_vandermonde,
-    consecutive_product_sum,
-    consecutive_product_sum_via_hyper,
+    consecutive_product_sum_prefixes,
     euler_binomial_harmonic,
     harmonic_sum,
-    harmonic_via_hyper,
+    harmonic_via_hyper_prefixes,
     odd_harmonic_closed_form,
-    odd_power_sum_identity,
+    odd_power_sum_identity_prefixes,
     pfq,
 )
 
@@ -30,14 +31,14 @@ print("  pfq((1/2, 1/2, -3), (3/2, 3/2), 1) =",
       pfq((F(1, 2), F(1, 2), -3), (F(3, 2), F(3, 2)), 1))
 
 print("\nPower-sum identity at x = 1/3, n = 5, s = 2 (both sides):")
-lhs, rhs = odd_power_sum_identity(5, 2, F(1, 3))
+*_, (lhs, rhs) = odd_power_sum_identity_prefixes(5, 2, F(1, 3))
 print(f"  {lhs} == {rhs}: {lhs == rhs}")
 
 print("\nDepth-one odd sums via hypergeometric values at +-1:")
 for n in (3, 10):
     for s in (1, 2):
         direct = harmonic_sum(STRICT_ODD, n, (s,))
-        via = harmonic_via_hyper(n, s, parity="odd")
+        *_, via = harmonic_via_hyper_prefixes(n, s, parity="odd")
         print(f"  n={n:>2} s={s}: {via} == {direct}: {via == direct}")
 
 print("\nDouble-factorial closed form of the odd harmonic number:")
@@ -51,9 +52,8 @@ print(f"  2F1(-4, 2/5; 7/3; 1) = {lhs} = (c-b)_n/(c)_n = {rhs}")
 
 print("\nBlock product sums two ways (m consecutive integers per term):")
 for m, n in ((2, 5), (4, 7)):
-    a = consecutive_product_sum(m, n)
-    b = consecutive_product_sum_via_hyper(m, n)
-    print(f"  m={m} n={n}: {a} == {b}: {a == b}")
+    *_, (via, direct) = consecutive_product_sum_prefixes(m, n)
+    print(f"  m={m} n={n}: {direct} == {via}: {direct == via}")
 
 print("\nEuler's alternating-binomial form of the harmonic number:")
 for n in (5, 12):

@@ -7,7 +7,7 @@ uncovered integer plus one.  Above it, every 2n is covered, which hands
 the certificate engine a window prime for every depth-r sum.
 """
 
-from oddharmonic import window_prime, window_report, threshold_guard
+from oddharmonic import window_prime, window_report, window_threshold
 
 print("r, largest uncovered integer, threshold n_r, verified run")
 for r in range(1, 21):
@@ -15,7 +15,8 @@ for r in range(1, 21):
     print(f"{rep.r:>2}  {rep.max_nonmember:>5}  {rep.threshold:>5}  {rep.verified_run}")
 
 print("\nGuard: 2*n_r > (r+1)^2, so window primes always exceed r+1:")
-print("  holds for r = 2..20:", all(threshold_guard(r) for r in range(2, 21)))
+print("  holds for r = 2..20:",
+      all(2 * window_threshold(r) > (r + 1) ** 2 for r in range(2, 21)))
 
 print("\nSpot check around the r=2 threshold (n_2 = 12):")
 for n in range(9, 15):

@@ -13,16 +13,12 @@ from .certificates import (
     decimal_bound_checks,
     depth_threshold_holds,
     leading_exponent_bound,
-    tail_coefficients,
     verify_odd_noninteger,
     verify_star_noninteger,
 )
 from .exact import (
-    PLUS_INFINITY,
-    Valuation,
     as_rational,
     int_valuation,
-    padic_valuation,
     pochhammer,
 )
 from .hyper import (
@@ -31,15 +27,11 @@ from .hyper import (
     binomial_inversion,
     binomial_transform,
     chu_vandermonde,
-    consecutive_product_sum,
     consecutive_product_sum_prefixes,
-    consecutive_product_sum_via_hyper,
     consecutive_product_sums,
     euler_binomial_harmonic,
-    harmonic_via_hyper,
     harmonic_via_hyper_prefixes,
     odd_harmonic_closed_form,
-    odd_power_sum_identity,
     odd_power_sum_identity_prefixes,
     pfq,
 )
@@ -48,8 +40,6 @@ from .primes import (
     WindowReport,
     bertrand_prime,
     is_prime,
-    threshold_guard,
-    window_covers,
     window_prime,
     window_report,
     window_threshold,

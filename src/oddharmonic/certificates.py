@@ -55,7 +55,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import starmap
 
 from . import primes
 from .exact import int_valuation
@@ -176,11 +175,6 @@ def _tail_pairs(n: int, tail: CompositionLike) -> list[tuple[int, int]]:
     chain = PrefixTrie.chain(STRICT_ODD, Composition(tail.indices[::-1]))
     pairs = [(v[-1], den) for v, den in _fold(STRICT_ODD, chain, range(n - 1, 0, -1), r - 2)]
     return pairs[::-1]
-
-
-def tail_coefficients(n: int, tail: CompositionLike) -> tuple[Fraction, ...]:
-    """Exact tail coefficients c[0..n-r] for an all-positive tail s_2..s_r."""
-    return tuple(starmap(Fraction, _tail_pairs(n, tail)))
 
 
 def leading_exponent_bound(n: int, tail: CompositionLike) -> int:

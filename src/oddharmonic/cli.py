@@ -145,6 +145,8 @@ def _sweep_grid(spec: SumSpec, n_lo: int, weight_max: int, depth_max: int):
 
 
 def _cmd_sweep(args) -> int:
+    if args.parity == "standard":
+        raise ValueError("sweep covers odd sums only; drop --standard")
     spec = STAR_ODD if args.ordering == "star" else STRICT_ODD
     depth_max = args.depth_max if args.depth_max is not None else args.weight_max
     state = _sweep_state_bytes(args.n_min, args.n_max, args.weight_max, depth_max, spec.star)

@@ -3,22 +3,14 @@
 Values are plain `fractions.Fraction` instances: arbitrary precision,
 always reduced, denominator positive, zero canonically 0/1.  The string
 form is the canonical serialization ("num/den", or "num" for integers)
-and `Fraction(text)` parses it back.  No floating point enters a value;
-the one float is `math.inf`, the valuation of zero.
+and `Fraction(text)` parses it back.  No floating point enters a value
+or a valuation: zero has no valuation, and asking for one raises.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
-from typing import Union
-
-from . import primes
-
-PLUS_INFINITY = math.inf  # orders above every int
-
-Valuation = Union[int, float]
 
 
 def as_rational(value) -> Fraction:
@@ -37,33 +29,21 @@ def as_rational(value) -> Fraction:
         raise ValueError(f"not a rational: {value!r}") from exc
 
 
-def int_valuation(m: int, p: int) -> Valuation:
-    """Exponent of p in the integer m; PLUS_INFINITY for m = 0.
+def int_valuation(m: int, p: int) -> int:
+    """Exponent of p in the nonzero integer m; ValueError for m = 0.
 
-    Nothing is checked: p must already be known to be prime, as the
-    Bertrand and window primes of `primes` are.  `padic_valuation`
-    is the checked entry point for any rational.
+    p is not checked: it must already be known to be prime, as the
+    Bertrand and window primes of `primes` are.  The valuation of a
+    rational is that of its numerator minus that of its denominator.
     """
     if m == 0:
-        return PLUS_INFINITY
+        raise ValueError("0 has no p-adic valuation")
     v = 0
     m = abs(m)
     while m % p == 0:
         m //= p
         v += 1
     return v
-
-
-def padic_valuation(a, p: int) -> Valuation:
-    """Exponent of the prime p in a, i.e. the n with a = p**n * q1/q2 and
-    q1, q2 coprime to p.  Returns PLUS_INFINITY for a = 0."""
-    p = operator.index(p)
-    if not primes.is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    a = as_rational(a)
-    if a == 0:
-        return PLUS_INFINITY
-    return int_valuation(a.numerator, p) - int_valuation(a.denominator, p)
 
 
 def pochhammer(a, i: int) -> Fraction:

@@ -11,12 +11,11 @@ with C(n,k) built along it, and each row is reduced once.  The identity
 helpers return both sides instead of a boolean so that a failing
 comparison is diagnosable.
 
-An identity at n combines the series for k = 1..n, so checking it for
-every n up to n_max repeats the smaller series.  The `*_prefixes`
-generators give the values for n = 1..n_max instead: each series is
-evaluated once and kept (at most n_max values), and the left-hand sides
-are running prefix sums.  The per-n functions build on the same series
-and term helpers.
+An identity at n combines the series for k = 1..n, so the identities
+at n = 1..n_max share their series.  The `*_prefixes` generators give
+them all: each series is evaluated once and kept (at most n_max
+values), and the left-hand sides are running prefix sums.  The value at
+one n is the generator's n-th element.
 """
 
 from __future__ import annotations
@@ -131,18 +130,11 @@ def _power_sum_parts(s: int, x, sign: int):
             lambda k: pfq((HALF,) * s + (1 - k,), (THREE_HALVES,) * s, y))
 
 
-def odd_power_sum_identity(n: int, s: int, x, sign: int = 1) -> tuple[Fraction, Fraction]:
-    """Both sides of: sum (sign x^2)^k/(2k+1)^s over k < n equals the
-    binomial combination of terminating series with halves parameters at
-    sign x^2 (the alternating variant when sign = -1)."""
-    term, series = _power_sum_parts(s, x, sign)
-    return sum(map(term, range(n)), Fraction(0)), alternating_binomial_sum(n, series)
-
-
 def odd_power_sum_identity_prefixes(n_max: int, s: int, x,
                                     sign: int = 1) -> Iterator[tuple[Fraction, Fraction]]:
-    """odd_power_sum_identity(n, s, x, sign) for n = 1..n_max, lazily,
-    with each series evaluated once."""
+    """Both sides, for n = 1..n_max, of: sum (sign x^2)^k/(2k+1)^s over
+    k < n equals the binomial combination of terminating series with
+    halves parameters at sign x^2 (the alternating variant when sign = -1)."""
     term, series = _power_sum_parts(s, x, sign)
     return zip(accumulate(map(term, range(n_max))),
                alternating_binomial_sums(map(series, range(1, n_max + 1))))
@@ -157,20 +149,14 @@ def _harmonic_series(s: int, sign: int, parity: str) -> Callable[[int], Fraction
     return lambda k: pfq((a,) * s + (1 - k,), (a + 1,) * s, sign)
 
 
-def harmonic_via_hyper(n: int, s: int, sign: int = 1, *, parity: str) -> Fraction:
-    """Depth-one sum of the given parity (alternating when sign = -1) as a
-    binomial combination of terminating series evaluated at +-1.
+def harmonic_via_hyper_prefixes(n_max: int, s: int, sign: int = 1, *,
+                                parity: str) -> Iterator[Fraction]:
+    """Depth-one sums of the given parity (alternating when sign = -1) for
+    n = 1..n_max, as binomial combinations of terminating series at +-1.
 
     With a = 1/2 for odd and a = 1 for standard parity, each ratio
     (a)_i / (a+1)_i = a / (a+i) is the reciprocal of the i-th denominator.
     """
-    return alternating_binomial_sum(n, _harmonic_series(s, sign, parity))
-
-
-def harmonic_via_hyper_prefixes(n_max: int, s: int, sign: int = 1, *,
-                                parity: str) -> Iterator[Fraction]:
-    """harmonic_via_hyper(n, s, sign, parity=parity) for n = 1..n_max,
-    lazily, with each series evaluated once."""
     return alternating_binomial_sums(map(_harmonic_series(s, sign, parity), range(1, n_max + 1)))
 
 
@@ -207,35 +193,18 @@ def _block_series(m: int) -> Callable[[int], Fraction]:
     return lambda k: pfq((1, 1 - k), (m + k,), -1) / (fact * (m + k - 1))
 
 
-def consecutive_product_sum(m: int, n: int) -> Fraction:
-    """sum over k < n of 1 / ((2k+1)(2k+2)...(2k+m)).
-
-    At m = 1 this is the odd harmonic number.
-    """
-    if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and n >= 1")
-    return sum((_block_term(m, k) for k in range(n)), Fraction(0))
-
-
 def consecutive_product_sums(m: int, n_max: int) -> Iterator[Fraction]:
-    """consecutive_product_sum(m, n) for n = 1..n_max, lazily, as one
-    running sum."""
+    """sum over k < n of 1 / ((2k+1)(2k+2)...(2k+m)) for n = 1..n_max, as
+    one running sum; at m = 1, the odd harmonic numbers."""
     if m < 1:
         raise ValueError("need m >= 1")
     return accumulate(_block_term(m, k) for k in range(n_max))
 
 
-def consecutive_product_sum_via_hyper(m: int, n: int) -> Fraction:
-    """The same block sum via 2F1(1, 1-k; m+k; -1) values (beta-function
-    reduction of the iterated integral)."""
-    if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and n >= 1")
-    return alternating_binomial_sum(n, _block_series(m))
-
-
 def consecutive_product_sum_prefixes(m: int, n_max: int) -> Iterator[tuple[Fraction, Fraction]]:
-    """(consecutive_product_sum_via_hyper(m, n), consecutive_product_sum(m, n))
-    for n = 1..n_max, lazily, with each series evaluated once."""
+    """(via, direct) block sums for n = 1..n_max: binomial combinations of
+    2F1(1, 1-k; m+k; -1) values (beta-function reduction of the iterated
+    integral), and `consecutive_product_sums`."""
     direct = consecutive_product_sums(m, n_max)
     return zip(alternating_binomial_sums(map(_block_series(m), range(1, n_max + 1))), direct)
 

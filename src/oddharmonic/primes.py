@@ -135,17 +135,6 @@ def window_prime(n: int, r: int) -> int | None:
     return _largest_prime(max(lo, r + 2), hi)
 
 
-def window_covers(m: int, r: int, *, closed_open: bool = False) -> bool:
-    """Is m covered by the interval (r*p, (r+1)*p] for some prime p?
-
-    With closed_open=True the intervals are [r*p, (r+1)*p) instead; the
-    largest uncovered integer then drops by exactly one.
-    """
-    if m < 1 or r < 1:
-        raise ValueError("need m >= 1 and r >= 1")
-    return _largest_prime(*_window(m, r, closed_open)) is not None
-
-
 # A sieve for a window_report cap above the table; the last one is kept, so
 # a table of many r at one cap sieves once.  Caps above REPORT_CAP_MAX are
 # refused before any sieve is built: the sieve's time and memory grow with
@@ -204,9 +193,3 @@ def window_threshold(r: int) -> int:
     """Smallest n above which a window prime exists for depth r (scanned)."""
     return window_report(r).threshold
 
-
-def threshold_guard(r: int) -> bool:
-    """2*threshold(r) > (r+1)**2, so window primes exceed r+1."""
-    if not 2 <= r <= 20:
-        raise ValueError("guard is tabulated for 2 <= r <= 20")
-    return 2 * window_threshold(r) > (r + 1) ** 2

@@ -92,10 +92,6 @@ class Composition:
                              "expected comma-separated nonzero integers") from exc
         return cls(entries)
 
-    @classmethod
-    def repeat(cls, entry: int, depth: int) -> "Composition":
-        return cls((entry,) * depth)
-
     def magnitudes(self) -> tuple[int, ...]:
         return self._magnitudes
 

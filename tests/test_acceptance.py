@@ -24,8 +24,8 @@ from oddharmonic.certificates import (
     verify_odd_noninteger,
     verify_star_noninteger,
 )
-from oddharmonic.exact import padic_valuation
-from oddharmonic.primes import threshold_guard, window_prime, window_threshold
+from oddharmonic.exact import int_valuation
+from oddharmonic.primes import window_prime, window_threshold
 from oddharmonic.sums import (
     STAR_ODD,
     STAR_STANDARD,
@@ -37,6 +37,11 @@ from oddharmonic.sums import (
 )
 
 F = Fraction
+
+
+def _valuation(a, p):
+    return int_valuation(a.numerator, p) - int_valuation(a.denominator, p)
+
 
 EXPECTED_THRESHOLDS = [2, 12, 17, 59, 73, 112, 130, 213, 572, 636,
                        699, 763, 826, 1044, 1118, 1193, 1794, 2008, 2119, 2231]
@@ -164,7 +169,7 @@ def test_criterion_4_window_valuation_law(capsys):
                 bad.append((n, r, p, "window structure"))
             for _ in range(20):
                 comp = tuple(rng.randint(1, 3) for _ in range(r))
-                v = padic_valuation(harmonic_sum(STRICT_ODD, n, comp), p)
+                v = _valuation(harmonic_sum(STRICT_ODD, n, comp), p)
                 bound = _window_multiplicity(n, comp, p)
                 top = sum(sorted(comp)[r // 2:])  # the ceil(r/2) largest entries
                 checked += 1
@@ -233,20 +238,18 @@ def test_criterion_7_identity_suites(capsys):
     start = time.time()
     bad = []
     xs = (F(1), F(1, 2), F(1, 3), F(2, 5))
-    for n in range(1, 21):
-        for s in range(1, 5):
-            for x in xs:
-                lhs, rhs = hyper.odd_power_sum_identity(n, s, x)
-                if lhs != rhs:
-                    bad.append(("powersum", n, s, x))
-                lhs, rhs = hyper.odd_power_sum_identity(n, s, x, -1)
-                if lhs != rhs:
-                    bad.append(("alt-powersum", n, s, x))
-    for n in range(1, 31):
-        for s in range(1, 6):
-            for sign in (1, -1):
-                if (hyper.harmonic_via_hyper(n, s, sign, parity="odd")
-                        != harmonic_sum(STRICT_ODD, n, (sign * s,))):
+    for s in range(1, 5):
+        for x in xs:
+            for sign, suite in ((1, "powersum"), (-1, "alt-powersum")):
+                rows = hyper.odd_power_sum_identity_prefixes(20, s, x, sign)
+                for n, (lhs, rhs) in enumerate(rows, start=1):
+                    if lhs != rhs:
+                        bad.append((suite, n, s, x))
+    for s in range(1, 6):
+        for sign in (1, -1):
+            values = hyper.harmonic_via_hyper_prefixes(30, s, sign, parity="odd")
+            for n, value in enumerate(values, start=1):
+                if value != harmonic_sum(STRICT_ODD, n, (sign * s,)):
                     bad.append(("depth1", n, s, sign))
     for n in range(1, 51):
         if hyper.odd_harmonic_closed_form(n) != harmonic_sum(STRICT_ODD, n, (1,)):
@@ -254,8 +257,8 @@ def test_criterion_7_identity_suites(capsys):
         if hyper.euler_binomial_harmonic(n) != harmonic_sum(STRICT_STANDARD, n, (1,)):
             bad.append(("euler", n))
     for m in range(1, 9):
-        for n in range(1, 31):
-            if hyper.consecutive_product_sum(m, n) != hyper.consecutive_product_sum_via_hyper(m, n):
+        for n, (via, direct) in enumerate(hyper.consecutive_product_sum_prefixes(m, 30), start=1):
+            if via != direct:
                 bad.append(("blocks", m, n))
     rng = random.Random(11)
     for _ in range(50):
@@ -279,11 +282,11 @@ def test_criterion_7_identity_suites(capsys):
                     bad.append(("inversion", s, sign, n))
     import math
     for m in range(1, 6):
+        blocks = list(hyper.consecutive_product_sums(m, 15))
         for n in range(1, 16):
             lhs = hyper.pfq((1, 1 - n), (m + n,), -1)
             rhs = (math.factorial(m - 1) * (m + n - 1)
-                   * hyper.alternating_binomial_sum(
-                       n, lambda k: hyper.consecutive_product_sum(m, k)))
+                   * hyper.alternating_binomial_sum(n, lambda k: blocks[k - 1]))
             if lhs != rhs:
                 bad.append(("inversion-blocks", m, n))
     elapsed = time.time() - start
@@ -295,7 +298,8 @@ def test_criterion_7_identity_suites(capsys):
 
 def test_criterion_8_window_guard(capsys):
     start = time.time()
-    ok = all(threshold_guard(r) for r in range(2, 21))
+    # 2*n_r > (r+1)**2, so window primes exceed r+1
+    ok = all(2 * window_threshold(r) > (r + 1) ** 2 for r in range(2, 21))
     missing = []
     for r in range(2, 21):
         nr = window_threshold(r)

@@ -7,7 +7,7 @@ import pickle
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, starmap
 from pathlib import Path
 
 import pytest
@@ -22,14 +22,14 @@ from oddharmonic.certificates import (
     WINDOW_VALUATION,
     Certificate,
     _Point,
+    _tail_pairs,
     decimal_bound_checks,
     depth_threshold_holds,
     leading_exponent_bound,
-    tail_coefficients,
     verify_odd_noninteger,
     verify_star_noninteger,
 )
-from oddharmonic.exact import int_valuation, padic_valuation
+from oddharmonic.exact import int_valuation
 from oddharmonic.primes import bertrand_prime, window_prime
 from oddharmonic.sums import (
     STAR_ODD,
@@ -44,6 +44,10 @@ from oddharmonic.sums import (
 )
 
 F = Fraction
+
+
+def _valuation(a, p):
+    return int_valuation(a.numerator, p) - int_valuation(a.denominator, p)
 
 
 # -- star certificates --------------------------------------------------------
@@ -109,7 +113,7 @@ def test_window_prime_can_fail_to_certify():
     ]
     for n, r, comp, p, v in known:
         assert window_prime(n, r) == p
-        assert padic_valuation(harmonic_sum(STRICT_ODD, n, comp), p) == v
+        assert _valuation(harmonic_sum(STRICT_ODD, n, comp), p) == v
         assert negative_valuation(STRICT_ODD, n, comp, p) is None
         assert harmonic_sum(STRICT_ODD, n, comp).denominator > 1
         assert verify_odd_noninteger(n, comp).kind != TRIVIAL_INTEGER
@@ -183,6 +187,11 @@ def test_import_leaves_mpmath_unloaded():
 
 # -- tail coefficients and the leading-exponent bound ---------------------------
 
+def _tail_coefficients(n, tail):
+    """The reduced tail coefficients c[0..n-r] behind rule 5."""
+    return tuple(starmap(F, _tail_pairs(n, tail)))
+
+
 def _tail_coeff_brute(n, tail, k1):
     total = F(0)
     for tup in combinations(range(k1 + 1, n), len(tail)):
@@ -194,10 +203,10 @@ def _tail_coeff_brute(n, tail, k1):
 
 
 def test_tail_coefficients_examples():
-    assert tail_coefficients(3, (1,)) == (F(8, 15), F(1, 5))
-    assert tail_coefficients(3, (2,)) == (F(34, 225), F(1, 25))
+    assert _tail_coefficients(3, (1,)) == (F(8, 15), F(1, 5))
+    assert _tail_coefficients(3, (2,)) == (F(34, 225), F(1, 25))
     # depth equals n: single coefficient
-    assert tail_coefficients(2, (1,)) == (F(1, 3),)
+    assert _tail_coefficients(2, (1,)) == (F(1, 3),)
 
 
 def test_tail_coefficients_against_bruteforce():
@@ -205,7 +214,7 @@ def test_tail_coefficients_against_bruteforce():
         for tail in ((1,), (2,), (1, 1), (2, 1), (1, 1, 1)):
             if len(tail) + 1 > n:
                 continue
-            tc = tail_coefficients(n, tail)
+            tc = _tail_coefficients(n, tail)
             assert len(tc) == n - len(tail)
             for k1, c in enumerate(tc):
                 assert c == _tail_coeff_brute(n, tail, k1)
@@ -215,7 +224,7 @@ def test_tail_coefficients_against_bruteforce():
 def test_tail_coefficients_recompose_the_sum():
     for n in (5, 8):
         for comp in ((1, 2), (2, 1, 1), (3, 1)):
-            tc = tail_coefficients(n, comp[1:])
+            tc = _tail_coefficients(n, comp[1:])
             total = sum(
                 (c / F((2 * k + 1) ** comp[0]) for k, c in enumerate(tc)),
                 F(0),
@@ -246,7 +255,7 @@ def test_leading_exponent_bound_matches_reduced_valuations():
                 continue
             p = max(q for q in range(n - r + 2, 2 * n - 2 * r + 2)
                     if all(q % d for d in range(2, q)))
-            vals = [padic_valuation(_tail_coeff_brute(n, tail, k1), p)
+            vals = [_valuation(_tail_coeff_brute(n, tail, k1), p)
                     for k1 in range(n - r + 1)]
             v_ref = vals.pop((p - 1) // 2)
             assert leading_exponent_bound(n, tail) == max(v_ref, v_ref - min(vals)), (n, tail)

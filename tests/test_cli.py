@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -109,6 +110,15 @@ def test_verify_star(capsys):
 def test_verify_rejects_standard(capsys):
     code, _, err = run(capsys, "verify", "--standard", "--n", "3", "--comp", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("family", ["--strict", "--star"])
+def test_sweep_rejects_standard(capsys, family):
+    # the cascade certifies odd sums only; --standard must not pass for them
+    code, out, err = run(capsys, "sweep", "--n-max", "4", "--weight-max", "2",
+                         "--standard", family)
+    assert (code, out) == (2, "")
+    assert err == "error: sweep covers odd sums only; drop --standard\n"
 
 
 def test_sweep_deterministic_and_sound(capsys):
@@ -344,28 +354,44 @@ def test_bounds_quick(capsys):
     assert any(line.startswith("12,1 2,") for line in lines)
 
 
-def _per_n_sides(name, n, s, m, x, sign):
-    """Both sides of one identity row, from the per-n library functions."""
+def _alternating(n, f):
+    """sum_{k=1}^{n} (-1)^(k-1) C(n,k) f(k), one Fraction term at a time."""
+    return sum(((-1) ** (k - 1) * math.comb(n, k) * f(k) for k in range(1, n + 1)), Fraction(0))
+
+
+def _block_sum(m, n):
+    """sum over k < n of 1 / ((2k+1)(2k+2)...(2k+m))."""
+    return sum((Fraction(1, math.prod(range(2 * k + 1, 2 * k + m + 1))) for k in range(n)),
+               Fraction(0))
+
+
+def _reference_sides(name, n, s, m, x, sign):
+    """Both sides of one identity row at n, from `pfq` and direct sums."""
     n = int(n)
+    half, threehalf = Fraction(1, 2), Fraction(3, 2)
     if name in ("powersum", "alt-powersum"):
-        return hyper.odd_power_sum_identity(n, int(s), Fraction(x),
-                                            -1 if name == "alt-powersum" else 1)
+        s = int(s)
+        y = (-1 if name == "alt-powersum" else 1) * Fraction(x) ** 2
+        return (sum((y ** k / (2 * k + 1) ** s for k in range(n)), Fraction(0)),
+                _alternating(n, lambda k: hyper.pfq((half,) * s + (1 - k,),
+                                                    (threehalf,) * s, y)))
     if name in ("depth1", "depth1-standard"):
         s, sign = int(s), int(sign)
-        spec, parity = ((STRICT_ODD, "odd") if name == "depth1"
-                        else (STRICT_STANDARD, "standard"))
-        return (hyper.harmonic_via_hyper(n, s, sign, parity=parity),
+        spec, a = (STRICT_ODD, half) if name == "depth1" else (STRICT_STANDARD, Fraction(1))
+        return (_alternating(n, lambda k: hyper.pfq((a,) * s + (1 - k,), (a + 1,) * s, sign)),
                 harmonic_sum(spec, n, (sign * s,)))
     if name == "closed-form":
         return hyper.odd_harmonic_closed_form(n), harmonic_sum(STRICT_ODD, n, (1,))
     if name == "euler":
         return hyper.euler_binomial_harmonic(n), harmonic_sum(STRICT_STANDARD, n, (1,))
     if name == "blocks":
-        return (hyper.consecutive_product_sum_via_hyper(int(m), n),
-                hyper.consecutive_product_sum(int(m), n))
+        m = int(m)
+        return (_alternating(n, lambda k: hyper.pfq((1, 1 - k), (m + k,), -1)
+                             / (math.factorial(m - 1) * (m + k - 1))),
+                _block_sum(m, n))
     if name == "blocks-depth1":
-        return hyper.consecutive_product_sum(1, n), harmonic_sum(STRICT_ODD, n, (1,))
-    raise AssertionError(f"no per-n function for {name}")
+        return _block_sum(1, n), harmonic_sum(STRICT_ODD, n, (1,))
+    raise AssertionError(f"no reference for {name}")
 
 
 def test_identity_check_suites_small(capsys):
@@ -393,7 +419,7 @@ def test_identity_check_suites_small(capsys):
         rows = [line.split(",") for line in lines[1:]]
         for name, n, s, m, x, sign, lhs, rhs, _ in rows:
             assert ((Fraction(lhs), Fraction(rhs))
-                    == _per_n_sides(name, n, s, m, x, sign)), (name, n, s, m, x, sign)
+                    == _reference_sides(name, n, s, m, x, sign)), (name, n, s, m, x, sign)
         if suite.endswith("powersum"):
             assert {(n, s, x) for _, n, s, _, x, *_ in rows} == {
                 (str(n), str(s), x) for n in range(1, 8) for s in (1, 2, 3) for x in xs}

@@ -15,15 +15,11 @@ from oddharmonic.hyper import (
     binomial_inversion,
     binomial_transform,
     chu_vandermonde,
-    consecutive_product_sum,
     consecutive_product_sum_prefixes,
-    consecutive_product_sum_via_hyper,
     consecutive_product_sums,
     euler_binomial_harmonic,
-    harmonic_via_hyper,
     harmonic_via_hyper_prefixes,
     odd_harmonic_closed_form,
-    odd_power_sum_identity,
     odd_power_sum_identity_prefixes,
     pfq,
 )
@@ -102,58 +98,64 @@ def test_pfq_matches_term_by_term_definition(upper, lower, x):
 
 
 # -- power-sum identities --------------------------------------------------------
+# A `*_prefixes` generator yields the values at n = 1..n_max; `_at` takes
+# the one at n_max.
+
+def _at(rows):
+    *_, last = rows
+    return last
+
 
 def test_power_sum_identity_examples():
-    lhs, rhs = odd_power_sum_identity(1, 3, F(1, 2))
+    lhs, rhs = _at(odd_power_sum_identity_prefixes(1, 3, F(1, 2)))
     assert lhs == rhs == 1
-    lhs, rhs = odd_power_sum_identity(2, 1, 1)
+    lhs, rhs = _at(odd_power_sum_identity_prefixes(2, 1, 1))
     assert lhs == rhs == F(4, 3)
-    lhs, rhs = odd_power_sum_identity(3, 2, F(1, 3))
+    lhs, rhs = _at(odd_power_sum_identity_prefixes(3, 2, F(1, 3)))
     assert lhs == rhs
 
 
 def test_alternating_power_sum_identity_examples():
-    lhs, rhs = odd_power_sum_identity(1, 1, 1, -1)
+    lhs, rhs = _at(odd_power_sum_identity_prefixes(1, 1, 1, -1))
     assert lhs == rhs == 1
-    lhs, rhs = odd_power_sum_identity(2, 1, 1, -1)
+    lhs, rhs = _at(odd_power_sum_identity_prefixes(2, 1, 1, -1))
     assert lhs == rhs == F(2, 3)
-    lhs, rhs = odd_power_sum_identity(4, 2, F(1, 2), -1)
+    lhs, rhs = _at(odd_power_sum_identity_prefixes(4, 2, F(1, 2), -1))
     assert lhs == rhs
     with pytest.raises(ValueError):
-        odd_power_sum_identity(2, 1, 1, 0)
+        odd_power_sum_identity_prefixes(2, 1, 1, 0)
 
 
 def test_power_sum_identities_small_grid():
     xs = (F(1), F(1, 2), F(1, 3), F(2, 5))
-    for n in range(1, 9):
-        for s in range(1, 4):
-            for x in xs:
-                lhs, rhs = odd_power_sum_identity(n, s, x)
-                assert lhs == rhs, (n, s, x)
-                lhs, rhs = odd_power_sum_identity(n, s, x, -1)
-                assert lhs == rhs, (n, s, x)
+    for s in range(1, 4):
+        for x in xs:
+            for sign in (1, -1):
+                rows = odd_power_sum_identity_prefixes(8, s, x, sign)
+                for n, (lhs, rhs) in enumerate(rows, start=1):
+                    assert lhs == rhs, (n, s, x, sign)
 
 
 # -- depth-one evaluations ---------------------------------------------------------
 
 def test_depth1_via_hyper_examples():
-    assert harmonic_via_hyper(1, 4, 1, parity="odd") == 1
-    assert harmonic_via_hyper(2, 1, 1, parity="odd") == F(4, 3)
-    assert harmonic_via_hyper(2, 1, -1, parity="odd") == F(2, 3)
+    assert _at(harmonic_via_hyper_prefixes(1, 4, 1, parity="odd")) == 1
+    assert _at(harmonic_via_hyper_prefixes(2, 1, 1, parity="odd")) == F(4, 3)
+    assert _at(harmonic_via_hyper_prefixes(2, 1, -1, parity="odd")) == F(2, 3)
     with pytest.raises(ValueError):
-        harmonic_via_hyper(2, 1, 0, parity="odd")
+        harmonic_via_hyper_prefixes(2, 1, 0, parity="odd")
     with pytest.raises(ValueError):
-        harmonic_via_hyper(2, 1, 1, parity="even")
+        harmonic_via_hyper_prefixes(2, 1, 1, parity="even")
     with pytest.raises(TypeError):
-        harmonic_via_hyper(2, 1, 1)  # the parity must be named
+        harmonic_via_hyper_prefixes(2, 1, 1)  # the parity must be named
 
 
 def test_depth1_via_hyper_matches_direct():
-    for n in range(1, 13):
-        for s in range(1, 4):
-            for sign in (1, -1):
-                assert (harmonic_via_hyper(n, s, sign, parity="odd")
-                        == harmonic_sum(STRICT_ODD, n, (sign * s,)))
+    for s in range(1, 4):
+        for sign in (1, -1):
+            values = harmonic_via_hyper_prefixes(12, s, sign, parity="odd")
+            for n, value in enumerate(values, start=1):
+                assert value == harmonic_sum(STRICT_ODD, n, (sign * s,)), (n, s, sign)
 
 
 def test_closed_form():
@@ -165,14 +167,14 @@ def test_closed_form():
 
 
 def test_standard_depth1_via_hyper():
-    assert harmonic_via_hyper(1, 2, 1, parity="standard") == 1
-    assert harmonic_via_hyper(2, 1, 1, parity="standard") == F(3, 2)
-    assert harmonic_via_hyper(2, 1, -1, parity="standard") == F(1, 2)
-    for n in range(1, 11):
-        for s in range(1, 4):
-            for sign in (1, -1):
-                assert (harmonic_via_hyper(n, s, sign, parity="standard")
-                        == harmonic_sum(STRICT_STANDARD, n, (sign * s,)))
+    assert _at(harmonic_via_hyper_prefixes(1, 2, 1, parity="standard")) == 1
+    assert _at(harmonic_via_hyper_prefixes(2, 1, 1, parity="standard")) == F(3, 2)
+    assert _at(harmonic_via_hyper_prefixes(2, 1, -1, parity="standard")) == F(1, 2)
+    for s in range(1, 4):
+        for sign in (1, -1):
+            values = harmonic_via_hyper_prefixes(10, s, sign, parity="standard")
+            for n, value in enumerate(values, start=1):
+                assert value == harmonic_sum(STRICT_STANDARD, n, (sign * s,)), (n, s, sign)
 
 
 def test_euler_binomial_form():
@@ -207,39 +209,63 @@ def test_chu_vandermonde_random_pairs():
 # -- block product sums --------------------------------------------------------------
 
 def test_block_sum_examples():
-    assert consecutive_product_sum(1, 2) == F(4, 3)
-    assert consecutive_product_sum(2, 1) == F(1, 2)
-    assert consecutive_product_sum(2, 2) == F(7, 12)
-    assert consecutive_product_sum_via_hyper(2, 1) == F(1, 2)
-    assert consecutive_product_sum_via_hyper(2, 2) == F(7, 12)
-    assert consecutive_product_sum_via_hyper(1, 3) == F(23, 15)
+    assert _at(consecutive_product_sums(1, 2)) == F(4, 3)
+    assert _at(consecutive_product_sums(2, 1)) == F(1, 2)
+    assert _at(consecutive_product_sums(2, 2)) == F(7, 12)
+    assert _at(consecutive_product_sum_prefixes(2, 1))[0] == F(1, 2)
+    assert _at(consecutive_product_sum_prefixes(2, 2))[0] == F(7, 12)
+    assert _at(consecutive_product_sum_prefixes(1, 3))[0] == F(23, 15)
 
 
 def test_block_sums_agree():
     for m in range(1, 6):
-        for n in range(1, 11):
-            assert consecutive_product_sum(m, n) == consecutive_product_sum_via_hyper(m, n)
-    for n in range(1, 11):
-        assert consecutive_product_sum(1, n) == harmonic_sum(STRICT_ODD, n, (1,))
+        for n, (via, direct) in enumerate(consecutive_product_sum_prefixes(m, 10), start=1):
+            assert via == direct, (m, n)
+    for n, direct in enumerate(consecutive_product_sums(1, 10), start=1):
+        assert direct == harmonic_sum(STRICT_ODD, n, (1,))
 
 
 # -- prefix generators ---------------------------------------------------------------
 
+def _alternating_reference(n, f):
+    """sum_{k=1}^{n} (-1)^(k-1) C(n,k) f(k), one Fraction term at a time."""
+    return sum(((-1) ** (k - 1) * math.comb(n, k) * F(f(k)) for k in range(1, n + 1)), F(0))
+
+
+def _power_sum_reference(n, s, x, sign):
+    y = sign * x * x
+    return (sum((y ** k / (2 * k + 1) ** s for k in range(n)), F(0)),
+            _alternating_reference(n, lambda k: _pfq_reference(
+                (HALF,) * s + (1 - k,), (THREEHALF,) * s, y)))
+
+
+def _depth1_reference(n, s, sign, parity):
+    a = HALF if parity == "odd" else F(1)
+    return _alternating_reference(n, lambda k: _pfq_reference(
+        (a,) * s + (1 - k,), (a + 1,) * s, sign))
+
+
+def _block_reference(m, n):
+    via = _alternating_reference(n, lambda k: _pfq_reference(
+        (1, 1 - k), (m + k,), -1) / (math.factorial(m - 1) * (m + k - 1)))
+    direct = sum((F(1, math.prod(range(2 * k + 1, 2 * k + m + 1))) for k in range(n)), F(0))
+    return via, direct
+
+
 def test_prefixes_match_per_n_functions():
+    # each generator's n-th value against its identity at n, summed term by term
     for s in (1, 3):
         for x in (F(0), F(-2, 3), F(5, 4)):
             for sign in (1, -1):
                 rows = list(odd_power_sum_identity_prefixes(6, s, x, sign))
-                assert rows == [odd_power_sum_identity(n, s, x, sign) for n in range(1, 7)]
+                assert rows == [_power_sum_reference(n, s, x, sign) for n in range(1, 7)]
         for sign in (1, -1):
             for parity in ("odd", "standard"):
                 values = list(harmonic_via_hyper_prefixes(7, s, sign, parity=parity))
-                assert values == [harmonic_via_hyper(n, s, sign, parity=parity)
-                                  for n in range(1, 8)]
+                assert values == [_depth1_reference(n, s, sign, parity) for n in range(1, 8)]
     for m in (1, 2, 5):
         assert list(consecutive_product_sum_prefixes(m, 6)) == [
-            (consecutive_product_sum_via_hyper(m, n), consecutive_product_sum(m, n))
-            for n in range(1, 7)]
+            _block_reference(m, n) for n in range(1, 7)]
     # bad arguments are rejected at the call, before any value is asked for
     with pytest.raises(ValueError):
         odd_power_sum_identity_prefixes(3, 1, 1, 0)
@@ -251,38 +277,23 @@ def test_prefixes_match_per_n_functions():
         consecutive_product_sums(0, 3)
 
 
-def _alternating_reference(n, f):
-    """sum_{k=1}^{n} (-1)^(k-1) C(n,k) f(k), one Fraction term at a time."""
-    return sum(((-1) ** (k - 1) * math.comb(n, k) * F(f(k)) for k in range(1, n + 1)), F(0))
-
-
 def test_prefixes_match_fraction_references():
     for s in (1, 2):
         for x in (F(0), F(-2, 3), F(5, 4)):
             for sign in (1, -1):
-                y = sign * x * x
                 rows = list(odd_power_sum_identity_prefixes(7, s, x, sign))
-                assert rows == [
-                    (sum((y ** k / (2 * k + 1) ** s for k in range(n)), F(0)),
-                     _alternating_reference(n, lambda k: _pfq_reference(
-                         (HALF,) * s + (1 - k,), (THREEHALF,) * s, y)))
-                    for n in range(1, 8)], (s, x, sign)
+                assert rows == [_power_sum_reference(n, s, x, sign)
+                                for n in range(1, 8)], (s, x, sign)
         for sign in (1, -1):
-            for parity, a, den in (("odd", HALF, lambda j: 2 * j + 1),
-                                   ("standard", F(1), lambda j: j + 1)):
+            for parity, den in (("odd", lambda j: 2 * j + 1), ("standard", lambda j: j + 1)):
                 values = list(harmonic_via_hyper_prefixes(8, s, sign, parity=parity))
-                assert values == [_alternating_reference(n, lambda k: _pfq_reference(
-                    (a,) * s + (1 - k,), (a + 1,) * s, sign)) for n in range(1, 9)]
+                assert values == [_depth1_reference(n, s, sign, parity) for n in range(1, 9)]
                 assert values == [sum((F(sign ** j, den(j) ** s) for j in range(n)), F(0))
                                   for n in range(1, 9)], (s, sign, parity)
     for m in (1, 2, 4):
-        direct = [sum((F(1, math.prod(range(2 * k + 1, 2 * k + m + 1))) for k in range(n)),
-                      F(0)) for n in range(1, 9)]
-        assert list(consecutive_product_sums(m, 8)) == direct
-        via = [_alternating_reference(n, lambda k: _pfq_reference(
-            (1, 1 - k), (m + k,), -1) / (math.factorial(m - 1) * (m + k - 1)))
-            for n in range(1, 9)]
-        assert list(consecutive_product_sum_prefixes(m, 8)) == list(zip(via, direct))
+        refs = [_block_reference(m, n) for n in range(1, 9)]
+        assert list(consecutive_product_sums(m, 8)) == [direct for _, direct in refs]
+        assert list(consecutive_product_sum_prefixes(m, 8)) == refs
 
 
 # -- binomial sums over one common denominator -------------------------------------------
@@ -376,11 +387,11 @@ def test_inversion_corollaries():
                     n, lambda k: harmonic_sum(STRICT_ODD, k, (sign * s,)))
                 assert lhs == rhs, (s, sign, n)
     for m in range(1, 5):
+        blocks = list(consecutive_product_sums(m, 8))
         for n in range(1, 9):
             lhs = pfq((1, 1 - n), (m + n,), -1)
             rhs = (math.factorial(m - 1) * (m + n - 1)
-                   * alternating_binomial_sum(
-                       n, lambda k: consecutive_product_sum(m, k)))
+                   * alternating_binomial_sum(n, lambda k: blocks[k - 1]))
             assert lhs == rhs, (m, n)
 
 

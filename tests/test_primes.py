@@ -10,8 +10,6 @@ from oddharmonic.primes import (
     Sieve,
     bertrand_prime,
     is_prime,
-    threshold_guard,
-    window_covers,
     window_prime,
     window_report,
     window_threshold,
@@ -80,7 +78,6 @@ def test_is_prime_refuses_non_integers():
     assert is_prime(7)
     # the window queries and the sieve refuse them the same way
     for call in (lambda: bertrand_prime(7.5), lambda: window_prime(12.5, 2),
-                 lambda: window_covers(7.5, 2),
                  lambda: depth_threshold_holds(7.5, 2), lambda: depth_threshold_holds(7, 2.0),
                  lambda: Sieve(7.5), lambda: window_report(2.5),
                  lambda: window_report(2, 20000.0), lambda: window_report(2, 20000, 2000.0)):
@@ -145,23 +142,6 @@ def test_window_prime_conditions_hold():
                             if p * (r + 1) >= 2 * n and p * r < 2 * n and _trial_division(p)),
                            default=None)
             assert window_prime(n, r) == expected, (n, r)
-
-
-def test_window_covers_examples():
-    assert window_covers(23, 2)       # p = 11: 22 < 23 <= 33
-    assert not window_covers(22, 2)
-    assert window_covers(3, 1)        # p = 2: 2 < 3 <= 4
-
-
-def test_window_covers_matches_naive_scan():
-    for r in (1, 2, 3):
-        for m in range(1, 200):
-            naive = any(
-                r * p < m <= (r + 1) * p
-                for p in range(2, m + 1)
-                if _trial_division(p)
-            )
-            assert window_covers(m, r) == naive, (m, r)
 
 
 def test_window_report_small():
@@ -262,20 +242,24 @@ def test_closed_open_variant_shifts_maximum_by_one():
 
 
 def test_threshold_guard():
-    assert threshold_guard(2)      # 24 > 9
-    assert threshold_guard(17)     # 3588 > 324
-    assert threshold_guard(20)     # 4462 > 441
-    with pytest.raises(ValueError):
-        threshold_guard(1)
+    # 2*n_r > (r+1)**2, so a window prime p >= 2*n_r/(r+1) exceeds r+1
+    for r, twice in ((2, 24), (17, 3588), (20, 4462)):
+        assert 2 * window_threshold(r) == twice > (r + 1) ** 2
+
+
+def _covered(m, r):
+    """Is m in (r*p, (r+1)*p] for some prime p?  Trial division over the p
+    with m/(r+1) <= p < m/r."""
+    return any(_trial_division(p) for p in range(-(-m // (r + 1)), (m - 1) // r + 1))
 
 
 def test_threshold_consistent_with_coverage():
     for r in range(2, 9):
         rep = window_report(r)
-        assert not window_covers(rep.max_nonmember, r)
+        assert not _covered(rep.max_nonmember, r)
         for m in range(rep.max_nonmember + 1, rep.max_nonmember + 60):
-            assert window_covers(m, r)
-        # every even 2n from the threshold up is covered
+            assert _covered(m, r)
+        # from the threshold up every depth-r sum has a window prime
         nr = window_threshold(r)
         assert nr == rep.max_nonmember // 2 + 1
-        assert all(window_covers(2 * n, r) for n in range(nr, nr + 40))
+        assert all(window_prime(n, r) is not None for n in range(nr, nr + 40))
