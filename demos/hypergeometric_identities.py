@@ -14,7 +14,7 @@ from oddharmonic import (
     alternating_binomial_sum,
     binomial_inversion,
     binomial_transform,
-    chu_vandermonde,
+    chu_vandermonde_prefixes,
     consecutive_product_sum_prefixes,
     euler_binomial_harmonic,
     harmonic_sum,
@@ -46,9 +46,9 @@ for n in (4, 9):
     direct = harmonic_sum(STRICT_ODD, n, (1,))
     print(f"  n={n}: {odd_harmonic_closed_form(n)} == {direct}")
 
-print("\nChu-Vandermonde, rational parameters:")
-lhs, rhs = chu_vandermonde(4, F(2, 5), F(7, 3))
-print(f"  2F1(-4, 2/5; 7/3; 1) = {lhs} = (c-b)_n/(c)_n = {rhs}")
+print("\nChu-Vandermonde, rational parameters, n = 0..4:")
+for n, (lhs, rhs) in enumerate(chu_vandermonde_prefixes(4, F(2, 5), F(7, 3))):
+    print(f"  n={n}: 2F1(-n, 2/5; 7/3; 1) = {lhs} == (c-b)_n/(c)_n = {rhs}")
 
 print("\nBlock product sums two ways (m consecutive integers per term):")
 for m, n in ((2, 5), (4, 7)):

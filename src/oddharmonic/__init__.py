@@ -26,7 +26,7 @@ from .hyper import (
     alternating_binomial_sums,
     binomial_inversion,
     binomial_transform,
-    chu_vandermonde,
+    chu_vandermonde_prefixes,
     consecutive_product_sum_prefixes,
     consecutive_product_sums,
     euler_binomial_harmonic,
@@ -34,6 +34,7 @@ from .hyper import (
     odd_harmonic_closed_form,
     odd_power_sum_identity_prefixes,
     pfq,
+    pfq_rows,
 )
 from .primes import (
     Sieve,

@@ -19,11 +19,11 @@ of the fold's denominator at each (prime, key) with p**e, and per depth
 the rule-2 bound, the window prime and whether rule 4 applies and rules
 4-6 are best-effort.  `verify_*` checks its case,
 makes one point and wraps the fields that `_Point.certify` returns in a
-`Certificate`; `sweep` makes one point per n, certifies every row it
-built itself and writes each line from the fields with `_json_line`, the
-writer `Certificate.json_line` also calls.  Rule 4's reference bound
+`Certificate`; `sweep` makes one point per n and writes every row it
+built itself with `_Point.line`, from the fields, through `_json_line`,
+the writer `Certificate.json_line` also calls.  Rule 4's reference bound
 depends on n only through n <= the window threshold of its depth, so it
-is cached per composition.
+is cached per composition, together with its text.
 
 Rules 1 and 3 fold the sum modulo a power of their prime, which decides
 the valuation exactly without the value (`sums.negative_valuation`).
@@ -108,10 +108,11 @@ _MAGNITUDE_COMPARATORS = {
 
 
 def _json_line(kind: str, n: int, composition: Composition, rule_index: int,
-               prime: int | None, valuation: int | None, bound: Fraction | None,
+               prime: int | None, valuation: int | None, bound: Fraction | str | None,
                best_effort: bool) -> str:
     """json.dumps of a certificate's to_json(), written out in one f-string
-    from its fields, in the order Certificate declares them.
+    from its fields, in the order Certificate declares them; the bound
+    may come as its text already.
 
     Every value is an int, null, true or a string that JSON writes as it
     is: a kind name, a composition's digits and commas, or a bound's
@@ -257,22 +258,21 @@ def _reference_sum(n: int, comp: tuple[int, ...]) -> Fraction:
 
 
 @lru_cache(maxsize=4096)
-def _magnitude_bound(comp: tuple[int, ...]) -> Fraction | None:
+def _magnitude_bound(comp: tuple[int, ...]) -> tuple[Fraction, str] | None:
     """Rule 4: an exact reference bound < 1 on the sum of comp, of depth
     2..17, at every n up to the window threshold of its depth, if one
-    applies.  The bound is the reference sum at that threshold, so it
-    depends on n only through n <= threshold, which the caller checks."""
+    applies, with its text, which every line certified by it writes.  The
+    bound is the reference sum at that threshold, so it depends on n only
+    through n <= threshold, which the caller checks."""
     r = len(comp)
     ref_n = primes.window_threshold(r)
     if r <= 4:
-        for comparator in _MAGNITUDE_COMPARATORS[r]:
-            if dominates(comp, comparator):
-                bound = _reference_sum(ref_n, comparator.indices)
-                if bound < 1:
-                    return bound
-        return None
-    bound = _reference_sum(ref_n, (1,) * r) if r <= 10 else ones_power_bound(ref_n, r)
-    return bound if bound < 1 else None
+        bounds = (_reference_sum(ref_n, comparator.indices)
+                  for comparator in _MAGNITUDE_COMPARATORS[r] if dominates(comp, comparator))
+    else:
+        bounds = (_reference_sum(ref_n, (1,) * r) if r <= 10 else ones_power_bound(ref_n, r),)
+    bound = next((bound for bound in bounds if bound < 1), None)
+    return None if bound is None else (bound, str(bound))
 
 
 # Rules 2, 4 and 5 bound the sum without its value; it is recomputed as a
@@ -361,8 +361,8 @@ class _Point:
         # a later rule then certifies.
         elif window is not None and (v := self.valuation(comp, window, value)) is not None:
             return WINDOW_VALUATION, n, comp, 3, window, v, None, False
-        elif tabulated and (ref := _magnitude_bound(comp.indices)) is not None:
-            fields = MAGNITUDE_BOUND, n, comp, 4, None, None, ref, best_effort
+        elif tabulated and (magnitude := _magnitude_bound(comp.indices)) is not None:
+            fields = MAGNITUDE_BOUND, n, comp, 4, None, None, magnitude[0], best_effort
         elif r < n and comp.indices[0] > (s1 := leading_exponent_bound(n, comp.indices[1:])):
             fields = (LARGE_S1_BOUND, n, comp, 5, primes.bertrand_prime(n - r + 1), None,
                       Fraction(s1), best_effort)
@@ -376,6 +376,14 @@ class _Point:
                 raise RuntimeError(f"integer value {num // den} at n={n}, comp={comp} "
                                    f"contradicts {fields[0]} certificate")
         return fields
+
+    def line(self, comp: Composition, value: Pair | None = None) -> str:
+        """The JSON line of comp's certificate; a rule-4 line takes its
+        bound's text from `_magnitude_bound`, made once per composition."""
+        kind, n, comp, rule_index, prime, valuation, bound, best_effort = self.certify(comp, value)
+        if kind == MAGNITUDE_BOUND:
+            bound = _magnitude_bound(comp.indices)[1]
+        return _json_line(kind, n, comp, rule_index, prime, valuation, bound, best_effort)
 
 
 def verify_star_noninteger(n: int, comp: CompositionLike) -> Certificate:

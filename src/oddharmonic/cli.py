@@ -15,7 +15,6 @@ from fractions import Fraction
 from . import hyper, primes
 from .certificates import (
     TRIVIAL_INTEGER,
-    _json_line,
     _Point,
     decimal_bound_checks,
     verify_odd_noninteger,
@@ -167,18 +166,18 @@ def _cmd_sweep(args) -> int:
     write, failures = sys.stdout.write, 0
     for n in range(n_lo, args.n_max + 1):
         states = {trie: next(fold) for trie, fold in zip(tries, folds)}
-        certify = _Point(spec, n).certify
+        line = _Point(spec, n).line
         for comp, start, trie, node in rows:
             if n < start:
                 continue
             v, den = states[trie]
             try:
-                fields = certify(comp, (v[node], den))
+                text = line(comp, (v[node], den))
             except RuntimeError as exc:
                 print(f"FAIL n={n} comp={comp}: {exc}", file=sys.stderr)
                 failures += 1
                 continue
-            write(_json_line(*fields) + "\n")
+            write(text + "\n")
     return 1 if failures else 0
 
 
@@ -220,11 +219,13 @@ def _cmd_bounds(args) -> int:
 
 def _parse_x_list(text: str) -> list[Fraction]:
     xs = []
-    for tok in text.split(","):
+    for tok in map(str.strip, text.split(",")):
         try:
-            xs.append(Fraction(tok.strip()))
+            xs.append(Fraction(tok))
         except ZeroDivisionError:
-            raise ValueError(f"--x-list entry {tok.strip()!r} has a zero denominator") from None
+            raise ValueError(f"--x-list entry {tok!r} has a zero denominator") from None
+        except ValueError:
+            raise ValueError(f"--x-list entry {tok!r} is not a rational") from None
     return xs
 
 
@@ -273,8 +274,7 @@ def _identity_rows(suite, n_max, s_max, m_max, xs, seed, count):
                 c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                 if not (c.denominator == 1 and c <= 0 and -c < n_max):
                     break
-            for n in range(n_max + 1):
-                lhs, rhs = hyper.chu_vandermonde(n, b, c)
+            for n, (lhs, rhs) in enumerate(hyper.chu_vandermonde_prefixes(n_max, b, c)):
                 yield (suite, n, "", "", f"{b};{c}", "", lhs, rhs)
     elif suite == "blocks":
         n_max, m_max = _or(n_max, 30), _or(m_max, 8)
@@ -293,8 +293,8 @@ def _identity_rows(suite, n_max, s_max, m_max, xs, seed, count):
             for sign in (1, -1):
                 rows = hyper.alternating_binomial_sums(
                     harmonic_sum_prefixes(STRICT_ODD, (sign * s,), 1, n_max))
-                for n, rhs in enumerate(rows, start=1):
-                    lhs = hyper.pfq((half,) * s + (1 - n,), (threehalf,) * s, sign)
+                series = hyper.pfq_rows((half,) * s, (threehalf,) * s, sign)
+                for n, (rhs, lhs) in enumerate(zip(rows, series), start=1):
                     yield (suite, n, s, "", "", sign, lhs, rhs)
         for m in range(1, m_max + 1):
             rows = hyper.alternating_binomial_sums(hyper.consecutive_product_sums(m, n_max))

@@ -2,30 +2,39 @@
 
 A series with a nonpositive-integer upper parameter truncates at the
 first vanishing rising factorial, so every evaluation here is a finite
-sum of exact rationals.  `pfq` folds the terms in integers over one
-common denominator and reduces once at the end.  Binomial combinations
-work the same way: the values f(1), f(2), ... are kept as integer
-numerators over their lcm (grown, and the kept numerators rescaled, when
-a new denominator does not divide it), a row at n is one integer sum
-with C(n,k) built along it, and each row is reduced once.  The identity
-helpers return both sides instead of a boolean so that a failing
-comparison is diagnosable.
+sum of exact rationals.  The identities use families of series
+pfq(fixed + (1-k,), lower, x), k = 1, 2, ..., that differ only in the
+truncating parameter 1-k.  One step-factor table per family, the private
+`_Series`, parses the fixed parameters once and tabulates, index by
+index as k grows, the part of each term ratio that does not depend on
+k; a value folds the terms in integers over one common denominator with
+only (1-k+i) varying, and reduces once at the end.  `pfq_rows` yields a
+family's values for k = 1, 2, ...; `pfq` is one row of such a table.
+Binomial combinations work the same way: the values f(1), f(2), ... are
+kept as integer numerators over their lcm (grown, and the kept
+numerators rescaled, when a new denominator does not divide it), a row
+at n is one integer sum with C(n,k) built along it, and each row is
+reduced once.  The identity helpers return both sides instead of a
+boolean so that a failing comparison is diagnosable.
 
 An identity at n combines the series for k = 1..n, so the identities
 at n = 1..n_max share their series.  The `*_prefixes` generators give
-them all: each series is evaluated once and kept (at most n_max
-values), and the left-hand sides are running prefix sums.  The value at
-one n is the generator's n-th element.
+them all: each family's table is set up once and each series is
+evaluated once and kept (at most n_max values), and the left-hand sides
+are running prefix sums or, for `chu_vandermonde_prefixes`, a running
+product.  The value at one n is the generator's n-th element.  The block
+sums stay on `pfq`, since their lower parameter m+k moves with k.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .exact import as_rational, pochhammer
+from .exact import as_rational
 
 
 class NonTerminatingSeries(ValueError):
@@ -41,42 +50,81 @@ THREE_HALVES = Fraction(3, 2)
 _HYPER_BASE = {"odd": HALF, "standard": Fraction(1)}
 
 
+class _Series:
+    """The terminating series pfq(fixed + (1-k,), lower, x) for k = 1, 2, ...
+
+    With a = p/q over the fixed uppers and b = u/w over the lowers, the
+    ratio of term i+1 to term i is (1-k+i) times the fixed step factor
+    x_num prod(w) prod(p+iq) / (x_den prod(q) (i+1) prod(u+iw)); only
+    (1-k+i) depends on k.  The parameters are parsed once, and each
+    index's pair (step numerator, step denominator) is tabulated the first
+    time a value reaches it.
+    """
+
+    __slots__ = ("_uppers", "_lowers", "_num_scale", "_den_scale", "_stop", "_zero", "_steps")
+
+    def __init__(self, fixed: Sequence, lower: Sequence, x):
+        uppers = [as_rational(a) for a in fixed]
+        lowers = [as_rational(b) for b in lower]
+        x = as_rational(x)
+        self._uppers = [(a.numerator, a.denominator) for a in uppers]
+        self._lowers = [(b.numerator, b.denominator) for b in lowers]
+        self._num_scale = x.numerator * math.prod(w for _, w in self._lowers)
+        self._den_scale = x.denominator * math.prod(q for _, q in self._uppers)
+        # The last index at which the fixed uppers leave a term nonzero, and
+        # the first step index at which a lower's factor u+iw vanishes.
+        self._stop = min((-p for p, q in self._uppers if q == 1 and p <= 0), default=None)
+        self._zero = min((-u for u, w in self._lowers if w == 1 and u <= 0), default=None)
+        self._steps: list[tuple[int, int]] = []
+
+    def value(self, k: int) -> Fraction:
+        """pfq(fixed + (1-k,), lower, x), k >= 1: the terms up to index
+        k-1 or the fixed stop, whichever is smaller, folded over one
+        integer denominator and reduced once."""
+        last = k - 1 if self._stop is None else min(k - 1, self._stop)
+        if self._zero is not None and self._zero < last:
+            raise DegenerateLowerParameter(f"lower parameter {-self._zero} vanishes in range")
+        steps = self._steps
+        for i in range(len(steps), last):
+            step_num = self._num_scale
+            for p, q in self._uppers:
+                step_num *= p + i * q
+            step_den = self._den_scale * (i + 1)
+            for u, w in self._lowers:
+                step_den *= u + i * w
+            steps.append((step_num, step_den))
+        term = total = den = 1
+        for i in range(last):
+            step_num, step_den = steps[i]
+            term *= step_num * (1 - k + i)
+            den *= step_den
+            total = total * step_den + term
+        return Fraction(total, den)
+
+
 def pfq(upper: Sequence, lower: Sequence, x) -> Fraction:
     """Terminating series sum_i prod(a_j)_i / prod(b_j)_i * x^i / i!.
 
     The truncation index is the smallest -a over nonpositive-integer
     upper parameters a.  Lower parameters that hit zero inside that range
-    are rejected.
+    are rejected.  The value is one row of the `_Series` whose varying
+    parameter is the upper parameter with that smallest stop.
     """
     ups = [as_rational(a) for a in upper]
-    lows = [as_rational(b) for b in lower]
-    x = as_rational(x)
-    stops = [-int(a) for a in ups if a.denominator == 1 and a <= 0]
+    stops = [(-a.numerator, j) for j, a in enumerate(ups)
+             if a.denominator == 1 and a.numerator <= 0]
     if not stops:
         raise NonTerminatingSeries(f"no nonpositive-integer upper parameter in {ups}")
-    k_max = min(stops)
-    for b in lows:
-        if b.denominator == 1 and b <= 0 and -int(b) < k_max:
-            raise DegenerateLowerParameter(f"lower parameter {b} vanishes in range")
-    # With a = p/q and b = u/w, the term ratio prod(a+i)/prod(b+i) * x/(i+1)
-    # is prod(p+iq) prod(w) x_num / (prod(q) prod(u+iw) x_den (i+1)).  The
-    # term and the sum share one integer denominator, reduced at the end.
-    uppers = [(a.numerator, a.denominator) for a in ups]
-    lowers = [(b.numerator, b.denominator) for b in lows]
-    num_scale = x.numerator * math.prod(w for _, w in lowers)
-    den_scale = x.denominator * math.prod(q for _, q in uppers)
-    term = total = den = 1
-    for i in range(k_max):
-        step_num = num_scale
-        for p, q in uppers:
-            step_num *= p + i * q
-        step_den = den_scale * (i + 1)
-        for u, w in lowers:
-            step_den *= u + i * w
-        term *= step_num
-        den *= step_den
-        total = total * step_den + term
-    return Fraction(total, den)
+    stop, j = min(stops)
+    return _Series(ups[:j] + ups[j + 1:], lower, x).value(stop + 1)
+
+
+def pfq_rows(upper: Sequence, lower: Sequence, x) -> Iterator[Fraction]:
+    """pfq(upper + (1-k,), lower, x) for k = 1, 2, ..., without end.
+
+    The parameters are checked at the call and set up once for all rows.
+    """
+    return map(_Series(upper, lower, x).value, count(1))
 
 
 def _append_over_lcm(nums: list[int], den: int, value) -> int:
@@ -119,34 +167,18 @@ def alternating_binomial_sums(values: Iterable) -> Iterator[Fraction]:
         yield _binomial_row(nums, den)
 
 
-def _power_sum_parts(s: int, x, sign: int):
-    """The k-th left-hand term (k >= 0) and the k-th series (k >= 1) of
-    the power-sum identity."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    x = as_rational(x)
-    y = sign * x * x
-    return (lambda k: y ** k / (2 * k + 1) ** s,
-            lambda k: pfq((HALF,) * s + (1 - k,), (THREE_HALVES,) * s, y))
-
-
 def odd_power_sum_identity_prefixes(n_max: int, s: int, x,
                                     sign: int = 1) -> Iterator[tuple[Fraction, Fraction]]:
     """Both sides, for n = 1..n_max, of: sum (sign x^2)^k/(2k+1)^s over
     k < n equals the binomial combination of terminating series with
     halves parameters at sign x^2 (the alternating variant when sign = -1)."""
-    term, series = _power_sum_parts(s, x, sign)
-    return zip(accumulate(map(term, range(n_max))),
-               alternating_binomial_sums(map(series, range(1, n_max + 1))))
-
-
-def _harmonic_series(s: int, sign: int, parity: str) -> Callable[[int], Fraction]:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if parity not in _HYPER_BASE:
-        raise ValueError(f"parity must be odd or standard, got {parity!r}")
-    a = _HYPER_BASE[parity]
-    return lambda k: pfq((a,) * s + (1 - k,), (a + 1,) * s, sign)
+    x = as_rational(x)
+    y = sign * x * x
+    series = pfq_rows((HALF,) * s, (THREE_HALVES,) * s, y)
+    return zip(accumulate(y ** k / (2 * k + 1) ** s for k in range(n_max)),
+               alternating_binomial_sums(islice(series, n_max)))
 
 
 def harmonic_via_hyper_prefixes(n_max: int, s: int, sign: int = 1, *,
@@ -157,7 +189,12 @@ def harmonic_via_hyper_prefixes(n_max: int, s: int, sign: int = 1, *,
     With a = 1/2 for odd and a = 1 for standard parity, each ratio
     (a)_i / (a+1)_i = a / (a+i) is the reciprocal of the i-th denominator.
     """
-    return alternating_binomial_sums(map(_harmonic_series(s, sign, parity), range(1, n_max + 1)))
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if parity not in _HYPER_BASE:
+        raise ValueError(f"parity must be odd or standard, got {parity!r}")
+    a = _HYPER_BASE[parity]
+    return alternating_binomial_sums(islice(pfq_rows((a,) * s, (a + 1,) * s, sign), n_max))
 
 
 def odd_harmonic_closed_form(n: int) -> Fraction:
@@ -174,14 +211,17 @@ def odd_harmonic_closed_form(n: int) -> Fraction:
     return Fraction(total, tail)
 
 
-def chu_vandermonde(n: int, b, c) -> tuple[Fraction, Fraction]:
-    """Both sides of 2F1(-n, b; c; 1) = (c-b)_n / (c)_n."""
-    if n < 0:
-        raise ValueError("need n >= 0")
+def chu_vandermonde_prefixes(n_max: int, b, c) -> Iterator[tuple[Fraction, Fraction]]:
+    """Both sides of 2F1(-n, b; c; 1) = (c-b)_n / (c)_n for n = 0..n_max,
+    the right one as a running product of (c-b+i) / (c+i)."""
+    if n_max < 0:
+        raise ValueError("need n_max >= 0")
     b, c = as_rational(b), as_rational(c)
-    lhs = pfq((-n, b), (c,), 1)
-    rhs = pochhammer(c - b, n) / pochhammer(c, n)
-    return lhs, rhs
+    ratios = ((c - b + i) / (c + i) for i in range(n_max))
+    # The left side is asked first, so a c that vanishes in range raises
+    # DegenerateLowerParameter before the product divides by zero.
+    return zip(islice(pfq_rows((b,), (c,), 1), n_max + 1),
+               accumulate(ratios, operator.mul, initial=Fraction(1)))
 
 
 def _block_term(m: int, k: int) -> Fraction:

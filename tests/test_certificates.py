@@ -487,6 +487,19 @@ def test_json_line_is_the_json_of_to_json():
         sys.set_int_max_str_digits(limit)
 
 
+def test_point_line_is_the_certificate_line():
+    # a rule-4 line writes its bound's cached text, every other line the
+    # fields' own; both must give the certificate's line
+    kinds = {}
+    for n in range(2, 17):
+        point = _Point(STRICT_ODD, n)
+        for comp in map(Composition, compositions(8, n)):
+            cert = Certificate(*point.certify(comp))
+            assert point.line(comp) == cert.json_line(), (n, comp)
+            kinds.setdefault(cert.kind, set()).add(comp.depth)
+    assert kinds[MAGNITUDE_BOUND] == {2, 3, 4, 5, 6, 7}
+
+
 def test_certificate_is_a_frozen_value():
     # assignment refused, to a field or any other name; == and hash by
     # fields; pickles

@@ -450,13 +450,17 @@ def test_inversion_grid_digest(capsys):
 
 
 def test_identity_check_evaluates_each_series_once(capsys, monkeypatch):
-    # one pfq call per (group, n) of the suites, none for the direct sides
-    calls = []
-    pfq = hyper.pfq
-    monkeypatch.setattr(hyper, "pfq", lambda *args: calls.append(args) or pfq(*args))
+    # one series value per (group, n) of the suites, none for the direct
+    # sides; pfq sets up its own series only where the lower parameter
+    # moves with n (the blocks and inversion-blocks rows, 8 * 30 + 5 * 15)
+    values, pfqs = [], []
+    value, pfq = hyper._Series.value, hyper.pfq
+    monkeypatch.setattr(hyper._Series, "value",
+                        lambda self, k: values.append(k) or value(self, k))
+    monkeypatch.setattr(hyper, "pfq", lambda *args: pfqs.append(args) or pfq(*args))
     code, _, _ = run(capsys, "identity-check", "all", "--seed", "0")
     assert code == 0
-    assert len(calls) == 2195
+    assert (len(values), len(pfqs)) == (2195, 315)
 
 
 def test_identity_check_rejects_counts_below_one(capsys):
@@ -476,8 +480,11 @@ def test_identity_check_rejects_zero_denominator_x(capsys):
         assert code == 2, x_list
         assert out == ""
         assert err.startswith("error:") and "zero denominator" in err, err
-    code, _, err = run(capsys, "identity-check", "powersum", "--x-list", "1,x")
-    assert code == 2 and err.startswith("error:")
+    for x_list, entry in (("1,x", "x"), (",1", ""), ("1,", ""), ("1, 2/3/4", "2/3/4"),
+                          ("1.5e", "1.5e")):
+        code, out, err = run(capsys, "identity-check", "powersum", "--x-list", x_list)
+        assert (code, out) == (2, ""), x_list
+        assert err == f"error: --x-list entry {entry!r} is not a rational\n", err
 
 
 def test_identity_check_depth1_small(capsys):

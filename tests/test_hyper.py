@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,7 @@ from oddharmonic.hyper import (
     alternating_binomial_sums,
     binomial_inversion,
     binomial_transform,
-    chu_vandermonde,
+    chu_vandermonde_prefixes,
     consecutive_product_sum_prefixes,
     consecutive_product_sums,
     euler_binomial_harmonic,
@@ -22,6 +23,7 @@ from oddharmonic.hyper import (
     odd_harmonic_closed_form,
     odd_power_sum_identity_prefixes,
     pfq,
+    pfq_rows,
 )
 from oddharmonic.exact import pochhammer
 from oddharmonic.sums import STRICT_ODD, STRICT_STANDARD, harmonic_sum
@@ -76,7 +78,7 @@ def _pfq_reference(upper, lower, x):
     return total
 
 
-@pytest.mark.parametrize("upper, lower, x", [
+PFQ_CASES = [
     # denominators > 1 on both sides, and differing between them
     pytest.param((HALF, F(2, 3), -4), (F(5, 2), F(7, 3)), F(3, 7), id="fractions"),
     pytest.param((F(3, 4), -5, F(7, 6)), (F(5, 8), F(2, 9)), F(11, 5), id="fractions-mixed"),
@@ -89,12 +91,53 @@ def _pfq_reference(upper, lower, x):
     pytest.param((-3, F(5, 3)), (-7,), 2, id="lower-negative"),
     pytest.param((-4, -6), (-9, F(1, 3)), F(-3, 2), id="lower-negative-two"),
     pytest.param((-2, -5), (THREEHALF,), 1, id="first-stop-truncates"),
-])
+]
+
+
+@pytest.mark.parametrize("upper, lower, x", PFQ_CASES)
 def test_pfq_matches_term_by_term_definition(upper, lower, x):
     expected = _pfq_reference(upper, lower, x)
     assert pfq(upper, lower, x) == expected
     if 0 in upper or x == 0:
         assert expected == 1
+
+
+@pytest.mark.parametrize("upper, lower, x", PFQ_CASES)
+def test_pfq_rows_match_term_by_term_definition(upper, lower, x):
+    # the case without its truncating parameter; row k puts 1-k back
+    fixed = list(upper)
+    fixed.remove(max(a for a in upper if F(a).denominator == 1 and a <= 0))
+    rows = pfq_rows(fixed, lower, x)
+    for k in range(1, 11):
+        full = (*fixed, 1 - k)
+        try:
+            expected = _pfq_reference(full, lower, x)
+        except ZeroDivisionError:  # a lower parameter vanishes in range
+            with pytest.raises(DegenerateLowerParameter):
+                pfq(full, lower, x)
+            with pytest.raises(DegenerateLowerParameter):
+                next(rows)
+            break
+        assert next(rows) == expected == pfq(full, lower, x), k
+
+
+def test_pfq_rows_edge_cases():
+    # a fixed nonpositive-integer upper parameter truncates the rows past k = 3
+    rows = list(islice(pfq_rows((F(2, 3), -2), (THREEHALF,), F(-5, 2)), 8))
+    assert rows == [_pfq_reference((F(2, 3), -2, 1 - k), (THREEHALF,), F(-5, 2))
+                    for k in range(1, 9)]
+    # a lower parameter -3 vanishes at index 3, inside the range from k = 5 on
+    rows = pfq_rows((HALF,), (-3,), 1)
+    for k in range(1, 5):
+        assert next(rows) == pfq((HALF, 1 - k), (-3,), 1) == _pfq_reference(
+            (HALF, 1 - k), (-3,), 1)
+    with pytest.raises(DegenerateLowerParameter):
+        pfq((HALF, -4), (-3,), 1)
+    with pytest.raises(DegenerateLowerParameter):
+        next(rows)
+    # the parameters are checked at the call
+    with pytest.raises(ValueError):
+        pfq_rows((0.5,), (THREEHALF,), 1)
 
 
 # -- power-sum identities --------------------------------------------------------
@@ -185,12 +228,15 @@ def test_euler_binomial_form():
 # -- Chu-Vandermonde ---------------------------------------------------------------
 
 def test_chu_vandermonde_examples():
-    lhs, rhs = chu_vandermonde(0, F(5, 7), F(9, 4))
-    assert lhs == rhs == 1
-    lhs, rhs = chu_vandermonde(1, HALF, THREEHALF)
-    assert lhs == rhs == F(2, 3)
-    lhs, rhs = chu_vandermonde(3, F(2, 5), F(7, 3))
-    assert lhs == rhs
+    assert list(chu_vandermonde_prefixes(0, F(5, 7), F(9, 4))) == [(1, 1)]
+    assert list(chu_vandermonde_prefixes(1, HALF, THREEHALF)) == [(1, 1), (F(2, 3), F(2, 3))]
+    rows = list(chu_vandermonde_prefixes(3, F(2, 5), F(7, 3)))
+    assert len(rows) == 4 and all(lhs == rhs for lhs, rhs in rows)
+    # c = -2 vanishes at index 2, inside the range from n = 3 on
+    rows = chu_vandermonde_prefixes(5, F(2, 5), -2)
+    assert [lhs == rhs for lhs, rhs in islice(rows, 3)] == [True] * 3
+    with pytest.raises(DegenerateLowerParameter):
+        next(rows)
 
 
 def test_chu_vandermonde_random_pairs():
@@ -201,9 +247,10 @@ def test_chu_vandermonde_random_pairs():
             c = F(rng.randint(-9, 9), rng.randint(1, 9))
             if not (c.denominator == 1 and c <= 0 and -c < 8):
                 break
-        for n in range(8):
-            lhs, rhs = chu_vandermonde(n, b, c)
-            assert lhs == rhs, (n, b, c)
+        rows = list(chu_vandermonde_prefixes(7, b, c))
+        assert rows == [(_pfq_reference((-n, b), (c,), 1), pochhammer(c - b, n) / pochhammer(c, n))
+                        for n in range(8)], (b, c)
+        assert all(lhs == rhs for lhs, rhs in rows), (b, c)
 
 
 # -- block product sums --------------------------------------------------------------
@@ -252,21 +299,27 @@ def _block_reference(m, n):
     return via, direct
 
 
-def test_prefixes_match_per_n_functions():
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_prefixes_match_references(s):
     # each generator's n-th value against its identity at n, summed term by term
-    for s in (1, 3):
-        for x in (F(0), F(-2, 3), F(5, 4)):
-            for sign in (1, -1):
-                rows = list(odd_power_sum_identity_prefixes(6, s, x, sign))
-                assert rows == [_power_sum_reference(n, s, x, sign) for n in range(1, 7)]
+    for x in (F(0), F(-2, 3), F(5, 4)):
         for sign in (1, -1):
-            for parity in ("odd", "standard"):
-                values = list(harmonic_via_hyper_prefixes(7, s, sign, parity=parity))
-                assert values == [_depth1_reference(n, s, sign, parity) for n in range(1, 8)]
-    for m in (1, 2, 5):
-        assert list(consecutive_product_sum_prefixes(m, 6)) == [
-            _block_reference(m, n) for n in range(1, 7)]
-    # bad arguments are rejected at the call, before any value is asked for
+            rows = list(odd_power_sum_identity_prefixes(7, s, x, sign))
+            assert rows == [_power_sum_reference(n, s, x, sign) for n in range(1, 8)], (x, sign)
+    for sign in (1, -1):
+        for parity, den in (("odd", lambda j: 2 * j + 1), ("standard", lambda j: j + 1)):
+            values = list(harmonic_via_hyper_prefixes(8, s, sign, parity=parity))
+            assert values == [_depth1_reference(n, s, sign, parity) for n in range(1, 9)]
+            assert values == [sum((F(sign ** j, den(j) ** s) for j in range(n)), F(0))
+                              for n in range(1, 9)], (sign, parity)
+    for m in (s, s + 2):  # block widths 1..5 over the three cases
+        refs = [_block_reference(m, n) for n in range(1, 9)]
+        assert list(consecutive_product_sums(m, 8)) == [direct for _, direct in refs]
+        assert list(consecutive_product_sum_prefixes(m, 8)) == refs
+
+
+def test_prefixes_reject_bad_arguments():
+    # at the call, before any value is asked for
     with pytest.raises(ValueError):
         odd_power_sum_identity_prefixes(3, 1, 1, 0)
     with pytest.raises(ValueError):
@@ -275,25 +328,8 @@ def test_prefixes_match_per_n_functions():
         consecutive_product_sum_prefixes(0, 3)
     with pytest.raises(ValueError):
         consecutive_product_sums(0, 3)
-
-
-def test_prefixes_match_fraction_references():
-    for s in (1, 2):
-        for x in (F(0), F(-2, 3), F(5, 4)):
-            for sign in (1, -1):
-                rows = list(odd_power_sum_identity_prefixes(7, s, x, sign))
-                assert rows == [_power_sum_reference(n, s, x, sign)
-                                for n in range(1, 8)], (s, x, sign)
-        for sign in (1, -1):
-            for parity, den in (("odd", lambda j: 2 * j + 1), ("standard", lambda j: j + 1)):
-                values = list(harmonic_via_hyper_prefixes(8, s, sign, parity=parity))
-                assert values == [_depth1_reference(n, s, sign, parity) for n in range(1, 9)]
-                assert values == [sum((F(sign ** j, den(j) ** s) for j in range(n)), F(0))
-                                  for n in range(1, 9)], (s, sign, parity)
-    for m in (1, 2, 4):
-        refs = [_block_reference(m, n) for n in range(1, 9)]
-        assert list(consecutive_product_sums(m, 8)) == [direct for _, direct in refs]
-        assert list(consecutive_product_sum_prefixes(m, 8)) == refs
+    with pytest.raises(ValueError):
+        chu_vandermonde_prefixes(-1, HALF, THREEHALF)
 
 
 # -- binomial sums over one common denominator -------------------------------------------
