@@ -19,7 +19,6 @@ from .certificates import (
 from .exact import (
     as_rational,
     int_valuation,
-    pochhammer,
 )
 from .hyper import (
     alternating_binomial_sum,

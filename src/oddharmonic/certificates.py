@@ -17,11 +17,13 @@ The cascade runs in one private object per (family, n), `_Point`, which
 holds what no composition changes: the Bertrand prime, the valuation e
 of the fold's denominator at each (prime, key) with p**e, and per depth
 the rule-2 bound, the window prime and whether rule 4 applies and rules
-4-6 are best-effort.  `verify_*` checks its case,
-makes one point and wraps the fields that `_Point.certify` returns in a
-`Certificate`; `sweep` makes one point per n and writes every row it
-built itself with `_Point.line`, from the fields, through `_json_line`,
-the writer `Certificate.json_line` also calls.  Rule 4's reference bound
+4-6 are best-effort.  The point is the one store of its per-depth facts:
+neither the window prime nor the rule-2 decision is cached elsewhere.
+`verify_*` checks its case, makes one point and wraps the fields that
+`_Point.certify` returns in a `Certificate`; `sweep` makes one point per
+n and writes every row it built itself with `_Point.line`.  Both write
+through `_json_line`, the one writer of the JSON layout, and
+`Certificate.to_json` parses that line back.  Rule 4's reference bound
 depends on n only through n <= the window threshold of its depth, so it
 is cached per composition, together with its text.
 
@@ -51,6 +53,7 @@ valuation is exactly -weight.
 
 from __future__ import annotations
 
+import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,9 +113,9 @@ _MAGNITUDE_COMPARATORS = {
 def _json_line(kind: str, n: int, composition: Composition, rule_index: int,
                prime: int | None, valuation: int | None, bound: Fraction | str | None,
                best_effort: bool) -> str:
-    """json.dumps of a certificate's to_json(), written out in one f-string
-    from its fields, in the order Certificate declares them; the bound
-    may come as its text already.
+    """A certificate's JSON line, the one place its layout is written: one
+    f-string from its fields, in the order Certificate declares them, as
+    json.dumps would write it; the bound may come as its text already.
 
     Every value is an int, null, true or a string that JSON writes as it
     is: a kind name, a composition's digits and commas, or a bound's
@@ -142,21 +145,11 @@ class Certificate:
     best_effort: bool = False
 
     def to_json(self) -> dict:
-        doc = {
-            "kind": self.kind,
-            "n": self.n,
-            "composition": str(self.composition),
-            "prime": self.prime,
-            "valuation": self.valuation,
-            "bound": None if self.bound is None else str(self.bound),
-            "rule_index": self.rule_index,
-        }
-        if self.best_effort:
-            doc["best_effort"] = True
-        return doc
+        """The certificate as a dict: its JSON line, parsed."""
+        return json.loads(self.json_line())
 
     def json_line(self) -> str:
-        """json.dumps(self.to_json()), without building the dict."""
+        """The certificate's JSON line, written by `_json_line`."""
         return _json_line(self.kind, self.n, self.composition, self.rule_index,
                           self.prime, self.valuation, self.bound, self.best_effort)
 
@@ -207,7 +200,6 @@ def leading_exponent_bound(n: int, tail: CompositionLike) -> int:
 _E_NUM, _E_DEN = 2718281828459045235360287471352662498, 10**36
 
 
-@lru_cache(maxsize=4096, typed=True)  # typed: 7.0 must not hit the key 7
 def depth_threshold_holds(n: int, r: int) -> bool:
     """Is r >= e * (log(2n-1)/2 + 1), certainly?
 
@@ -242,14 +234,6 @@ def depth_threshold_holds(n: int, r: int) -> bool:
 
 # The fold's unreduced (numerator, denominator) of one sum.
 Pair = tuple[int, int]
-
-
-def _checked_case(spec: SumSpec, n: int, comp: CompositionLike) -> tuple[int, Composition]:
-    """The validated n and all-positive composition of one case."""
-    comp = Composition.coerce(comp)
-    if not comp.all_positive:
-        raise ValueError("integrality certificates cover all-positive compositions")
-    return spec.validate(n, comp), comp
 
 
 @lru_cache(maxsize=None)
@@ -386,27 +370,36 @@ class _Point:
         return _json_line(kind, n, comp, rule_index, prime, valuation, bound, best_effort)
 
 
+def _verify(spec: SumSpec, n: int, comp: CompositionLike) -> Certificate:
+    """The certificate of one case, checked first: n valid for comp, and
+    comp all-positive."""
+    comp = Composition.coerce(comp)
+    if not comp.all_positive:
+        raise ValueError("integrality certificates cover all-positive compositions")
+    n = spec.validate(n, comp)
+    return Certificate(*_Point(spec, n).certify(comp))
+
+
 def verify_star_noninteger(n: int, comp: CompositionLike) -> Certificate:
     """Certificate that the odd star sum at n >= 2 is not an integer.
 
     A prime n < p < 2n forces valuation exactly -weight (rule 1).
     """
-    n, comp = _checked_case(STAR_ODD, n, comp)
-    return Certificate(*_Point(STAR_ODD, n).certify(comp))
+    return _verify(STAR_ODD, n, comp)
 
 
 def verify_odd_noninteger(n: int, comp: CompositionLike) -> Certificate:
     """Certificate that the strict odd sum at n >= 2 is not an integer.
 
     Runs the cascade of the module docstring; the first applicable rule
-    wins.  When n * depth <= 20,000 the exact value is also recomputed
-    and its denominator checked, whichever bound rule fired.  Certificates from
-    rules 4-6 outside the tabulated regime (n past the window threshold,
-    or depth > 17) are flagged best_effort.  Rules 1 and 3 take their
-    valuation modulo a power of their prime, without the value.
+    wins.  When n * depth <= `_VALUE_CHECK_LIMIT` the exact value is also
+    recomputed and its denominator checked, whichever bound rule fired.
+    Certificates from rules 4-6 outside the tabulated regime (n past the
+    window threshold, or depth > 17) are flagged best_effort.  Rules 1
+    and 3 take their valuation modulo a power of their prime, without the
+    value.
     """
-    n, comp = _checked_case(STRICT_ODD, n, comp)
-    return Certificate(*_Point(STRICT_ODD, n).certify(comp))
+    return _verify(STRICT_ODD, n, comp)
 
 
 @dataclass(frozen=True)
@@ -420,20 +413,12 @@ class BoundCheck:
     ok: bool
 
 
-def decimal_bound_checks(ones_depth_max: int = 10) -> list[BoundCheck]:
-    """Exact rational checks of every tabulated decimal threshold.
-
-    Covers the small-depth comparators and the all-ones sums up to
-    ones_depth_max (5..10); the deeper all-ones checks take the longest.
-    """
-    if not 4 <= ones_depth_max <= 10:
-        raise ValueError("ones_depth_max must be in 4..10")
+def decimal_bound_checks() -> list[BoundCheck]:
+    """Exact rational checks of every tabulated decimal threshold: the
+    small-depth comparators and the all-ones sums of depths 5..10."""
     checks = []
     for comp, threshold in _DECIMAL_THRESHOLDS.items():
-        r = len(comp)
-        if all(c == 1 for c in comp) and r > ones_depth_max:
-            continue
-        n = primes.window_threshold(r)
+        n = primes.window_threshold(len(comp))
         value = _reference_sum(n, comp)
         checks.append(BoundCheck(n=n, composition=comp, value=value,
                                  threshold=threshold, ok=value < threshold))

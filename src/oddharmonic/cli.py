@@ -202,7 +202,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    checks = decimal_bound_checks(args.ones_max)
+    checks = decimal_bound_checks()
     all_ok = all(c.ok for c in checks)
     if args.format == "plain":
         for c in checks:
@@ -369,8 +369,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("bounds", help="check the decimal reference bounds exactly")
-    p.add_argument("--ones-max", type=int, default=10,
-                   help="deepest all-ones reference sum to check (4..10)")
     p.add_argument("--format", choices=("csv", "plain"), default="csv")
     p.set_defaults(func=_cmd_bounds)
 

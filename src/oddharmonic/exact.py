@@ -1,4 +1,4 @@
-"""Reduced rationals, p-adic valuations, and combinatorial scalars.
+"""Reduced rationals and p-adic valuations.
 
 Values are plain `fractions.Fraction` instances: arbitrary precision,
 always reduced, denominator positive, zero canonically 0/1.  The string
@@ -9,7 +9,6 @@ or a valuation: zero has no valuation, and asking for one raises.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 
@@ -44,12 +43,3 @@ def int_valuation(m: int, p: int) -> int:
         m //= p
         v += 1
     return v
-
-
-def pochhammer(a, i: int) -> Fraction:
-    """Rising factorial a(a+1)...(a+i-1), with the empty product 1 at i=0."""
-    if i < 0:
-        raise ValueError("need i >= 0")
-    a = as_rational(a)
-    p, q = a.numerator, a.denominator
-    return Fraction(math.prod(p + j * q for j in range(i)), q ** i)

@@ -120,14 +120,14 @@ def bertrand_prime(n: int) -> int:
     return _largest_prime(n + 1, 2 * n - 1)
 
 
-@lru_cache(maxsize=4096, typed=True)
 def window_prime(n: int, r: int) -> int | None:
     """Largest prime p > r+1 with p*(r+1) >= 2n and p*r < 2n, or None.
 
     The certificate engine tries such a prime first when showing a
     depth-r odd sum at n is not an integer; whether it certifies is then
     decided by the valuation at p, folded modulo a power of p or read off
-    the fold's own pair (it is usually negative).
+    the fold's own pair (it is usually negative).  The engine keeps it
+    per (n, r) in its cascade point, so no cache holds it here.
     """
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")

@@ -42,12 +42,9 @@ from oddharmonic.sums import (
     harmonic_sum_pairs,
     negative_valuation,
 )
+from reference import valuation
 
 F = Fraction
-
-
-def _valuation(a, p):
-    return int_valuation(a.numerator, p) - int_valuation(a.denominator, p)
 
 
 # -- star certificates --------------------------------------------------------
@@ -113,7 +110,7 @@ def test_window_prime_can_fail_to_certify():
     ]
     for n, r, comp, p, v in known:
         assert window_prime(n, r) == p
-        assert _valuation(harmonic_sum(STRICT_ODD, n, comp), p) == v
+        assert valuation(harmonic_sum(STRICT_ODD, n, comp), p) == v
         assert negative_valuation(STRICT_ODD, n, comp, p) is None
         assert harmonic_sum(STRICT_ODD, n, comp).denominator > 1
         assert verify_odd_noninteger(n, comp).kind != TRIVIAL_INTEGER
@@ -255,7 +252,7 @@ def test_leading_exponent_bound_matches_reduced_valuations():
                 continue
             p = max(q for q in range(n - r + 2, 2 * n - 2 * r + 2)
                     if all(q % d for d in range(2, q)))
-            vals = [_valuation(_tail_coeff_brute(n, tail, k1), p)
+            vals = [valuation(_tail_coeff_brute(n, tail, k1), p)
                     for k1 in range(n - r + 1)]
             v_ref = vals.pop((p - 1) // 2)
             assert leading_exponent_bound(n, tail) == max(v_ref, v_ref - min(vals)), (n, tail)
@@ -418,13 +415,19 @@ def test_given_value_needs_no_primality_test(monkeypatch):
     expected = [verifier(n, comp) for verifier, _, n, comp in cases]
     assert [c.kind for c in expected] == [STAR_VALUATION] * 2 + [WINDOW_VALUATION] * 2
     pairs = [_fold_pair(spec, n, comp) for _, spec, n, comp in cases]
+    # a point finds its Bertrand prime when made and its window prime with
+    # its depth facts, both by prime searches; only then is is_prime refused
+    points = [_Point(spec, n) for _, spec, n, _ in cases]
+    for point, (_, _, _, comp) in zip(points, cases):
+        if len(comp) > 1:
+            point._depth(len(comp))
 
     def refuse(m):
         raise AssertionError(f"is_prime({m}) called")
 
     monkeypatch.setattr("oddharmonic.primes.is_prime", refuse)
-    for (_, spec, n, comp), pair, cert in zip(cases, pairs, expected):
-        assert _certify(spec, n, comp, pair) == cert
+    for point, (_, _, _, comp), pair, cert in zip(points, cases, pairs, expected):
+        assert Certificate(*point.certify(Composition(comp), pair)) == cert
 
 
 def test_cascade_rejects_bad_input():
@@ -548,10 +551,10 @@ def test_cascade_soundness_sample():
 # -- decimal bound table ---------------------------------------------------------
 
 def test_decimal_bounds_small_depths():
-    checks = decimal_bound_checks(5)
+    checks = decimal_bound_checks()
     assert {c.composition for c in checks} == {
         (1, 2), (1, 2, 1), (1, 1, 2), (1, 2, 1, 1), (1, 1, 2, 1), (1, 1, 1, 2),
-        (1, 1, 1, 1, 1),
+        *((1,) * r for r in range(5, 11)),
     }
     assert all(c.ok for c in checks)
     by_comp = {c.composition: c for c in checks}

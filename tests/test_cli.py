@@ -107,6 +107,25 @@ def test_verify_star(capsys):
     assert doc["kind"] == "StarValuation" and doc["valuation"] == -2
 
 
+# `verify --format plain` writes one line from the certificate's fields,
+# apart from the JSON writer: a window and a star valuation, and a depth
+# bound with its bound.
+VERIFY_PLAIN = [
+    (("--n", "12", "--comp", "1,1"),
+     "WindowValuation n=12 comp=1,1 prime=11 valuation=-1 bound=None"),
+    (("--n", "8", "--comp", "1,1,1,1,1,1,1,1"),
+     "DepthBound n=8 comp=1,1,1,1,1,1,1,1 prime=None valuation=None "
+     "bound=36971666162404353154041181039505702912/5339287220427077485151957233061373046875"),
+    (("--n", "12", "--comp", "1,1", "--star"),
+     "StarValuation n=12 comp=1,1 prime=23 valuation=-2 bound=None"),
+]
+
+
+@pytest.mark.parametrize("argv, line", VERIFY_PLAIN, ids=["window", "depth", "star"])
+def test_verify_plain_line(capsys, argv, line):
+    assert run(capsys, "verify", *argv, "--format", "plain") == (0, line + "\n", "")
+
+
 def test_verify_rejects_standard(capsys):
     code, _, err = run(capsys, "verify", "--standard", "--n", "3", "--comp", "1")
     assert code == 2
@@ -226,7 +245,7 @@ def test_sweep_checks_no_case_it_built(capsys, monkeypatch, family):
     def refuse(*args):
         raise AssertionError("sweep re-checked a case")
 
-    monkeypatch.setattr("oddharmonic.certificates._checked_case", refuse)
+    monkeypatch.setattr("oddharmonic.certificates._verify", refuse)
     for _, flags, digest, lines in [s for s in PINNED_SWEEPS if s[0] == family]:
         code, out, err = run(capsys, "sweep", "--n-max", "12", "--weight-max", "6",
                              family, *flags)
@@ -257,7 +276,7 @@ def test_sweep_split_over_warm_caches_matches_one_call(capsys, family):
                           "--weight-max", "8", family)[1]
                       for lo, hi in zip(bounds, bounds[1:]))
         assert hashlib.sha256(out.encode()).hexdigest() == BENCH_GRID_SHA256[family], cuts
-    # a float is still refused by the cached prime lookups, not truncated
+    # a float is still refused by the prime lookups, cached or not, not truncated
     with pytest.raises(TypeError):
         primes.bertrand_prime(7.0)
     with pytest.raises(TypeError):
@@ -346,12 +365,38 @@ def test_table_latex(capsys):
 
 
 def test_bounds_quick(capsys):
-    code, out, _ = run(capsys, "bounds", "--ones-max", "5")
+    code, out, _ = run(capsys, "bounds")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "n,composition,threshold,ok,value"
     assert all(line.split(",")[3] == "True" for line in lines[1:])
     assert any(line.startswith("12,1 2,") for line in lines)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cd3f83c1650ee1445f31d66f320e93fd215f220e4ad633891a7ecaf637d931f6")
+    # every tabulated threshold is checked; there is no depth flag to cut them
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--ones-max", "5"])
+    assert exc.value.code == 2
+
+
+BOUNDS_PLAIN = """\
+odd sum n=12 comp=1,2 < 27273/100000: OK
+odd sum n=17 comp=1,2,1 < 2777/12500: OK
+odd sum n=17 comp=1,1,2 < 1069/12500: OK
+odd sum n=59 comp=1,2,1,1 < 28433/100000: OK
+odd sum n=59 comp=1,1,2,1 < 2613/25000: OK
+odd sum n=59 comp=1,1,1,2 < 203/5000: OK
+odd sum n=73 comp=1,1,1,1,1 < 42721/50000: OK
+odd sum n=112 comp=1,1,1,1,1,1 < 2073/4000: OK
+odd sum n=130 comp=1,1,1,1,1,1,1 < 507/2500: OK
+odd sum n=213 comp=1,1,1,1,1,1,1,1 < 2567/20000: OK
+odd sum n=572 comp=1,1,1,1,1,1,1,1,1 < 4449/25000: OK
+odd sum n=636 comp=1,1,1,1,1,1,1,1,1,1 < 6243/100000: OK
+"""
+
+
+def test_bounds_plain(capsys):
+    assert run(capsys, "bounds", "--format", "plain") == (0, BOUNDS_PLAIN, "")
 
 
 def _alternating(n, f):

@@ -25,8 +25,8 @@ from oddharmonic.hyper import (
     pfq,
     pfq_rows,
 )
-from oddharmonic.exact import pochhammer
 from oddharmonic.sums import STRICT_ODD, STRICT_STANDARD, harmonic_sum
+from reference import pochhammer
 
 F = Fraction
 HALF, THREEHALF = F(1, 2), F(3, 2)

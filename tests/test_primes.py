@@ -83,8 +83,8 @@ def test_is_prime_refuses_non_integers():
                  lambda: window_report(2, 20000.0), lambda: window_report(2, 20000, 2000.0)):
         with pytest.raises(TypeError):
             call()
-    assert not depth_threshold_holds(7, 2)  # now cached under the key (7, 2)
-    assert window_threshold(2) == 12        # and this under the key 2
+    assert not depth_threshold_holds(7, 2)
+    assert window_threshold(2) == 12  # now cached under the key 2
     for call in (lambda: depth_threshold_holds(7.0, 2), lambda: window_threshold(2.0)):
         with pytest.raises(TypeError):
             call()

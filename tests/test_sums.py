@@ -9,7 +9,6 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oddharmonic.exact import int_valuation
 from oddharmonic.primes import is_prime
 from oddharmonic.sums import (
     Composition,
@@ -31,6 +30,7 @@ from oddharmonic.sums import (
     negative_valuation,
     ones_power_bound,
 )
+from reference import valuation
 
 F = Fraction
 
@@ -427,10 +427,6 @@ def test_trie_key_and_chain_shape():
 
 # -- valuations without the value ---------------------------------------------
 
-def _valuation(a, p):
-    return int_valuation(a.numerator, p) - int_valuation(a.denominator, p)
-
-
 NEGATIVE_VALUATION_COMPS = ((1,), (3,), (-2,), (1, 1), (2, -1), (-1, 3), (1, 2, 1), (2, 1, -1))
 
 
@@ -447,7 +443,7 @@ def test_negative_valuation_matches_exact_valuation(spec):
                 continue
             value = harmonic_sum_brute(spec, n, comp)
             for p in filter(is_prime, range(2, 2 * n)):
-                v = _valuation(value, p)
+                v = valuation(value, p)
                 assert negative_valuation(spec, n, comp, p) == (v if v < 0 else None), \
                     (n, comp, p, v)
                 checked += 1
@@ -457,7 +453,7 @@ def test_negative_valuation_matches_exact_valuation(spec):
 def test_negative_valuation_zero_residue():
     # v_23 of the strict odd (1,1) sum at n = 26 is +2: the fold's numerator
     # is 0 modulo 23**e, which says "not negative" and nothing more
-    assert _valuation(harmonic_sum(STRICT_ODD, 26, (1, 1)), 23) == 2
+    assert valuation(harmonic_sum(STRICT_ODD, 26, (1, 1)), 23) == 2
     assert negative_valuation(STRICT_ODD, 26, (1, 1), 23) is None
     assert negative_valuation(STRICT_ODD, 26, (1, 1), 47) == -1
     with pytest.raises(ValueError):
