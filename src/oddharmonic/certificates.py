@@ -17,8 +17,8 @@ The cascade runs in one private object per (family, n), `_Point`, which
 holds what no composition changes: the Bertrand prime, the valuation e
 of the fold's denominator at each (prime, key) with p**e, and per depth
 the rule-2 bound, the window prime and whether rule 4 applies and rules
-4-6 are best-effort.  The point is the one store of its per-depth facts:
-neither the window prime nor the rule-2 decision is cached elsewhere.
+4-6 are best-effort.  The point is the one store of these facts: no
+cache elsewhere holds a Bertrand prime, a window prime or a rule-2 decision.
 `verify_*` checks its case, makes one point and wraps the fields that
 `_Point.certify` returns in a `Certificate`; `sweep` makes one point per
 n and writes every row it built itself with `_Point.line`.  Both write
@@ -154,19 +154,15 @@ class Certificate:
                           self.prime, self.valuation, self.bound, self.best_effort)
 
 
-def _tail_pairs(n: int, tail: CompositionLike) -> list[tuple[int, int]]:
+def _tail_pairs(n: int, tail: tuple[int, ...] | Composition) -> list[tuple[int, int]]:
     """c[k] = sum over k < k_2 < ... < k_r <= n-1 of the tail factors, so
     that the full sum is sum over k of c[k] / (2k+1)**s_1, as unreduced
     pairs for k = 0..n-r: c[k] is the strict odd sum of the reversed tail
     over n-1, n-2, ..., k+1, so one fold from k = n-1 down gives them all.
+    The tail is taken as checked: all-positive, of depth r-1 < n.
     """
-    tail = Composition.coerce(tail)
-    if not tail.all_positive:
-        raise ValueError("tail must be all-positive")
-    r = tail.depth + 1
-    if not 2 <= r <= n:
-        raise ValueError(f"need depth 2 <= {r} <= n = {n}")
-    chain = PrefixTrie.chain(STRICT_ODD, Composition(tail.indices[::-1]))
+    r = len(tail) + 1
+    chain = PrefixTrie.chain(STRICT_ODD, Composition(tuple(tail)[::-1]))
     pairs = [(v[-1], den) for v, den in _fold(STRICT_ODD, chain, range(n - 1, 0, -1), r - 2)]
     return pairs[::-1]
 
@@ -186,6 +182,8 @@ def leading_exponent_bound(n: int, tail: CompositionLike) -> int:
     r = tail.depth + 1
     if not 2 <= r < n:
         raise ValueError(f"need 2 <= depth = {r} < n = {n}")
+    if not tail.all_positive:
+        raise ValueError("tail must be all-positive")
     p = primes.bertrand_prime(n - r + 1)
     vals = []
     for num, den in _tail_pairs(n, tail):

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from . import hyper, primes
 from .certificates import (
-    TRIVIAL_INTEGER,
     _Point,
     decimal_bound_checks,
     verify_odd_noninteger,
@@ -38,8 +37,11 @@ _X_DEFAULT = "1,1/2,1/3,2/5"
 SUITES = ("powersum", "alt-powersum", "depth1", "chu", "blocks", "inversion", "all")
 
 
-def _spec_from(args) -> SumSpec:
-    return SumSpec(args.ordering, args.parity)
+def _odd_spec(args) -> SumSpec:
+    """STAR_ODD or STRICT_ODD from the flags of `verify` and `sweep`."""
+    if args.parity == "standard":
+        raise ValueError(f"{args.command} covers odd sums only; drop --standard")
+    return STAR_ODD if args.ordering == "star" else STRICT_ODD
 
 
 def _add_spec_flags(parser, default_parity="odd"):
@@ -59,7 +61,7 @@ def _add_spec_flags(parser, default_parity="odd"):
 
 def _cmd_eval(args) -> int:
     comp = Composition.parse(args.comp)
-    value = harmonic_sum(_spec_from(args), args.n, comp)
+    value = harmonic_sum(SumSpec(args.ordering, args.parity), args.n, comp)
     if args.format == "json":
         print(json.dumps({"value": str(value)}))
     else:
@@ -68,18 +70,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.parity == "standard":
-        raise ValueError("verify covers odd sums only; drop --standard")
-    comp = Composition.parse(args.comp)
-    verifier = verify_star_noninteger if args.ordering == "star" else verify_odd_noninteger
-    cert = verifier(args.n, comp)
+    verifier = verify_star_noninteger if _odd_spec(args).star else verify_odd_noninteger
+    cert = verifier(args.n, Composition.parse(args.comp))
     if args.format == "plain":
         print(f"{cert.kind} n={cert.n} comp={cert.composition} "
               f"prime={cert.prime} valuation={cert.valuation} bound={cert.bound}")
     else:
         print(cert.json_line())
-    if cert.kind == TRIVIAL_INTEGER and cert.n != 1:
-        return 1
     return 0
 
 
@@ -144,9 +141,7 @@ def _sweep_grid(spec: SumSpec, n_lo: int, weight_max: int, depth_max: int):
 
 
 def _cmd_sweep(args) -> int:
-    if args.parity == "standard":
-        raise ValueError("sweep covers odd sums only; drop --standard")
-    spec = STAR_ODD if args.ordering == "star" else STRICT_ODD
+    spec = _odd_spec(args)
     depth_max = args.depth_max if args.depth_max is not None else args.weight_max
     state = _sweep_state_bytes(args.n_min, args.n_max, args.weight_max, depth_max, spec.star)
     if state > SWEEP_STATE_LIMIT_BYTES:

@@ -228,11 +228,6 @@ def _block_term(m: int, k: int) -> Fraction:
     return Fraction(1, math.prod(range(2 * k + 1, 2 * k + m + 1)))
 
 
-def _block_series(m: int) -> Callable[[int], Fraction]:
-    fact = math.factorial(m - 1)
-    return lambda k: pfq((1, 1 - k), (m + k,), -1) / (fact * (m + k - 1))
-
-
 def consecutive_product_sums(m: int, n_max: int) -> Iterator[Fraction]:
     """sum over k < n of 1 / ((2k+1)(2k+2)...(2k+m)) for n = 1..n_max, as
     one running sum; at m = 1, the odd harmonic numbers."""
@@ -246,7 +241,9 @@ def consecutive_product_sum_prefixes(m: int, n_max: int) -> Iterator[tuple[Fract
     2F1(1, 1-k; m+k; -1) values (beta-function reduction of the iterated
     integral), and `consecutive_product_sums`."""
     direct = consecutive_product_sums(m, n_max)
-    return zip(alternating_binomial_sums(map(_block_series(m), range(1, n_max + 1))), direct)
+    fact = math.factorial(m - 1)
+    series = (pfq((1, 1 - k), (m + k,), -1) / (fact * (m + k - 1)) for k in range(1, n_max + 1))
+    return zip(alternating_binomial_sums(series), direct)
 
 
 def euler_binomial_harmonic(n: int) -> Fraction:

@@ -112,7 +112,6 @@ def _window(m: int, r: int, closed_open: bool = False) -> tuple[int, int]:
     return -(-m // (r + 1)), (m - 1) // r  # p*(r+1) >= m, p*r < m
 
 
-@lru_cache(maxsize=4096, typed=True)  # typed: 7.0 must not hit the key 7
 def bertrand_prime(n: int) -> int:
     """Largest prime p with n < p < 2n (exists for every n >= 2)."""
     if n < 2:

@@ -29,7 +29,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, starmap
+from itertools import combinations, combinations_with_replacement, pairwise, starmap
 from typing import Iterable, Iterator, Union
 
 from .exact import int_valuation
@@ -378,19 +378,10 @@ def ones_power_bound(n: int, r: int) -> Fraction:
 
 
 def compositions(weight_max: int, depth_max: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All-positive compositions in graded-lex order (weight, depth, entries)."""
-    if weight_max < 1:
-        return
+    """All-positive compositions in graded-lex order (weight, depth, entries):
+    one per set of depth-1 cut points in 1..weight-1, taken in lex order."""
     for weight in range(1, weight_max + 1):
         dmax = weight if depth_max is None else min(weight, depth_max)
         for depth in range(1, dmax + 1):
-            yield from _compositions_of(weight, depth)
-
-
-def _compositions_of(weight: int, depth: int) -> Iterator[tuple[int, ...]]:
-    if depth == 1:
-        yield (weight,)
-        return
-    for first in range(1, weight - depth + 2):
-        for rest in _compositions_of(weight - first, depth - 1):
-            yield (first,) + rest
+            for cuts in combinations(range(1, weight), depth - 1):
+                yield tuple(b - a for a, b in pairwise((0, *cuts, weight)))

@@ -237,7 +237,9 @@ def test_leading_exponent_bound_example():
 def test_leading_exponent_bound_range_checks():
     with pytest.raises(ValueError):
         leading_exponent_bound(2, (1,))      # needs depth < n
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need 2 <= depth"):
+        leading_exponent_bound(2, (1, -1))   # the range error comes first
+    with pytest.raises(ValueError, match="tail must be all-positive"):
         leading_exponent_bound(5, (1, -1))
 
 

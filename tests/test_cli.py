@@ -22,6 +22,7 @@ from oddharmonic.sums import (
     compositions,
     harmonic_sum,
 )
+from reference import alternating_reference, block_sum
 
 
 def run(capsys, *argv):
@@ -127,8 +128,8 @@ def test_verify_plain_line(capsys, argv, line):
 
 
 def test_verify_rejects_standard(capsys):
-    code, _, err = run(capsys, "verify", "--standard", "--n", "3", "--comp", "1")
-    assert code == 2
+    assert run(capsys, "verify", "--standard", "--n", "3", "--comp", "1") == (
+        2, "", "error: verify covers odd sums only; drop --standard\n")
 
 
 @pytest.mark.parametrize("family", ["--strict", "--star"])
@@ -399,17 +400,6 @@ def test_bounds_plain(capsys):
     assert run(capsys, "bounds", "--format", "plain") == (0, BOUNDS_PLAIN, "")
 
 
-def _alternating(n, f):
-    """sum_{k=1}^{n} (-1)^(k-1) C(n,k) f(k), one Fraction term at a time."""
-    return sum(((-1) ** (k - 1) * math.comb(n, k) * f(k) for k in range(1, n + 1)), Fraction(0))
-
-
-def _block_sum(m, n):
-    """sum over k < n of 1 / ((2k+1)(2k+2)...(2k+m))."""
-    return sum((Fraction(1, math.prod(range(2 * k + 1, 2 * k + m + 1))) for k in range(n)),
-               Fraction(0))
-
-
 def _reference_sides(name, n, s, m, x, sign):
     """Both sides of one identity row at n, from `pfq` and direct sums."""
     n = int(n)
@@ -418,12 +408,13 @@ def _reference_sides(name, n, s, m, x, sign):
         s = int(s)
         y = (-1 if name == "alt-powersum" else 1) * Fraction(x) ** 2
         return (sum((y ** k / (2 * k + 1) ** s for k in range(n)), Fraction(0)),
-                _alternating(n, lambda k: hyper.pfq((half,) * s + (1 - k,),
-                                                    (threehalf,) * s, y)))
+                alternating_reference(n, lambda k: hyper.pfq((half,) * s + (1 - k,),
+                                                             (threehalf,) * s, y)))
     if name in ("depth1", "depth1-standard"):
         s, sign = int(s), int(sign)
         spec, a = (STRICT_ODD, half) if name == "depth1" else (STRICT_STANDARD, Fraction(1))
-        return (_alternating(n, lambda k: hyper.pfq((a,) * s + (1 - k,), (a + 1,) * s, sign)),
+        return (alternating_reference(n, lambda k: hyper.pfq((a,) * s + (1 - k,),
+                                                             (a + 1,) * s, sign)),
                 harmonic_sum(spec, n, (sign * s,)))
     if name == "closed-form":
         return hyper.odd_harmonic_closed_form(n), harmonic_sum(STRICT_ODD, n, (1,))
@@ -431,11 +422,11 @@ def _reference_sides(name, n, s, m, x, sign):
         return hyper.euler_binomial_harmonic(n), harmonic_sum(STRICT_STANDARD, n, (1,))
     if name == "blocks":
         m = int(m)
-        return (_alternating(n, lambda k: hyper.pfq((1, 1 - k), (m + k,), -1)
-                             / (math.factorial(m - 1) * (m + k - 1))),
-                _block_sum(m, n))
+        return (alternating_reference(n, lambda k: hyper.pfq((1, 1 - k), (m + k,), -1)
+                                      / (math.factorial(m - 1) * (m + k - 1))),
+                block_sum(m, n))
     if name == "blocks-depth1":
-        return _block_sum(1, n), harmonic_sum(STRICT_ODD, n, (1,))
+        return block_sum(1, n), harmonic_sum(STRICT_ODD, n, (1,))
     raise AssertionError(f"no reference for {name}")
 
 

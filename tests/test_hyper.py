@@ -26,7 +26,7 @@ from oddharmonic.hyper import (
     pfq_rows,
 )
 from oddharmonic.sums import STRICT_ODD, STRICT_STANDARD, harmonic_sum
-from reference import pochhammer
+from reference import alternating_reference, block_sum, pochhammer
 
 F = Fraction
 HALF, THREEHALF = F(1, 2), F(3, 2)
@@ -274,29 +274,23 @@ def test_block_sums_agree():
 
 # -- prefix generators ---------------------------------------------------------------
 
-def _alternating_reference(n, f):
-    """sum_{k=1}^{n} (-1)^(k-1) C(n,k) f(k), one Fraction term at a time."""
-    return sum(((-1) ** (k - 1) * math.comb(n, k) * F(f(k)) for k in range(1, n + 1)), F(0))
-
-
 def _power_sum_reference(n, s, x, sign):
     y = sign * x * x
     return (sum((y ** k / (2 * k + 1) ** s for k in range(n)), F(0)),
-            _alternating_reference(n, lambda k: _pfq_reference(
+            alternating_reference(n, lambda k: _pfq_reference(
                 (HALF,) * s + (1 - k,), (THREEHALF,) * s, y)))
 
 
 def _depth1_reference(n, s, sign, parity):
     a = HALF if parity == "odd" else F(1)
-    return _alternating_reference(n, lambda k: _pfq_reference(
+    return alternating_reference(n, lambda k: _pfq_reference(
         (a,) * s + (1 - k,), (a + 1,) * s, sign))
 
 
 def _block_reference(m, n):
-    via = _alternating_reference(n, lambda k: _pfq_reference(
+    via = alternating_reference(n, lambda k: _pfq_reference(
         (1, 1 - k), (m + k,), -1) / (math.factorial(m - 1) * (m + k - 1)))
-    direct = sum((F(1, math.prod(range(2 * k + 1, 2 * k + m + 1))) for k in range(n)), F(0))
-    return via, direct
+    return via, block_sum(m, n)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
@@ -362,9 +356,9 @@ def test_alternating_binomial_sum_matches_reference():
     for values in sequences:
         f = lambda k: values[k - 1]  # noqa: E731
         for n in range(0, len(values) + 1):
-            assert alternating_binomial_sum(n, f) == _alternating_reference(n, f), (values, n)
+            assert alternating_binomial_sum(n, f) == alternating_reference(n, f), (values, n)
         assert list(alternating_binomial_sums(values)) == [
-            _alternating_reference(n, f) for n in range(1, len(values) + 1)], values
+            alternating_reference(n, f) for n in range(1, len(values) + 1)], values
 
 
 def test_inversion_and_transform_match_reference():

@@ -84,8 +84,10 @@ def test_is_prime_refuses_non_integers():
         with pytest.raises(TypeError):
             call()
     assert not depth_threshold_holds(7, 2)
+    assert bertrand_prime(7) == 13  # cached or not, 7.0 must not pass for 7
     assert window_threshold(2) == 12  # now cached under the key 2
-    for call in (lambda: depth_threshold_holds(7.0, 2), lambda: window_threshold(2.0)):
+    for call in (lambda: bertrand_prime(7.0), lambda: depth_threshold_holds(7.0, 2),
+                 lambda: window_threshold(2.0)):
         with pytest.raises(TypeError):
             call()
 

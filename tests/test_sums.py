@@ -561,3 +561,24 @@ def test_compositions_depth_cap():
     assert all(len(c) <= 2 for c in got)
     assert (1, 1, 1) not in got
     assert (2, 2) in got
+
+
+def _compositions_by_bitmask(weight_max, depth_max):
+    """Every composition of weight <= weight_max, one per subset of cut
+    points in 1..w-1 read from a bitmask, sorted by (weight, depth, entries)."""
+    comps = []
+    for w in range(1, weight_max + 1):
+        for mask in range(2 ** (w - 1)):
+            bounds = [0] + [i for i in range(1, w) if mask >> (i - 1) & 1] + [w]
+            comp = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+            if depth_max is None or len(comp) <= depth_max:
+                comps.append(comp)
+    return sorted(comps, key=lambda c: (sum(c), len(c), c))
+
+
+def test_compositions_match_bitmask_enumeration():
+    cases = [(w, d) for w in range(-1, 13) for d in (None, *range(max(w, 0) + 1))]
+    assert len(cases) == 106
+    for weight_max, depth_max in cases:
+        assert (list(compositions(weight_max, depth_max))
+                == _compositions_by_bitmask(weight_max, depth_max)), (weight_max, depth_max)
