@@ -53,14 +53,12 @@ valuation is exactly -weight.
 
 from __future__ import annotations
 
-import json
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import primes
-from .exact import int_valuation
+from .exact import Record, int_valuation
 from .sums import (
     Composition,
     CompositionLike,
@@ -131,21 +129,21 @@ def _json_line(kind: str, n: int, composition: Composition, rule_index: int,
             f'"rule_index": {rule_index}{tail}}}')
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Witness of (non-)integrality for one (n, composition) case."""
 
-    kind: str
-    n: int
-    composition: Composition
-    rule_index: int
-    prime: int | None = None
-    valuation: int | None = None
-    bound: Fraction | None = None
-    best_effort: bool = False
+    __match_args__ = ("kind", "n", "composition", "rule_index", "prime", "valuation",
+                      "bound", "best_effort")
+
+    def __init__(self, kind: str, n: int, composition: Composition, rule_index: int,
+                 prime: int | None = None, valuation: int | None = None,
+                 bound: Fraction | None = None, best_effort: bool = False):
+        super().__init__(kind, n, composition, rule_index, prime, valuation, bound,
+                         best_effort)
 
     def to_json(self) -> dict:
         """The certificate as a dict: its JSON line, parsed."""
+        import json  # only here, so that importing the package skips json
         return json.loads(self.json_line())
 
     def json_line(self) -> str:
@@ -184,14 +182,20 @@ def leading_exponent_bound(n: int, tail: CompositionLike) -> int:
         raise ValueError(f"need 2 <= depth = {r} < n = {n}")
     if not tail.all_positive:
         raise ValueError("tail must be all-positive")
-    p = primes.bertrand_prime(n - r + 1)
+    return _leading_exponent(n, tail)[0]
+
+
+def _leading_exponent(n: int, tail: tuple[int, ...] | Composition) -> tuple[int, int]:
+    """(N, p): `leading_exponent_bound` of a checked tail and the Bertrand
+    prime it was read at, which rule 5 writes, from one prime search."""
+    p = primes.bertrand_prime(n - len(tail))
     vals = []
     for num, den in _tail_pairs(n, tail):
         if num == 0:
             raise RuntimeError("unexpected zero coefficient")
         vals.append(int_valuation(num, p) - int_valuation(den, p))
     v_ref = vals.pop((p - 1) // 2)
-    return max(v_ref, v_ref - min(vals))
+    return max(v_ref, v_ref - min(vals)), p
 
 
 # ceil(e * 10**36) / 10**36: an upper bound on e, good to 36 decimals.
@@ -345,9 +349,8 @@ class _Point:
             return WINDOW_VALUATION, n, comp, 3, window, v, None, False
         elif tabulated and (magnitude := _magnitude_bound(comp.indices)) is not None:
             fields = MAGNITUDE_BOUND, n, comp, 4, None, None, magnitude[0], best_effort
-        elif r < n and comp.indices[0] > (s1 := leading_exponent_bound(n, comp.indices[1:])):
-            fields = (LARGE_S1_BOUND, n, comp, 5, primes.bertrand_prime(n - r + 1), None,
-                      Fraction(s1), best_effort)
+        elif r < n and comp.indices[0] > (s1 := _leading_exponent(n, comp.indices[1:]))[0]:
+            fields = LARGE_S1_BOUND, n, comp, 5, s1[1], None, Fraction(s1[0]), best_effort
         else:
             fields = DIRECT_NON_INTEGER, n, comp, 6, None, None, None, best_effort
 
@@ -400,15 +403,14 @@ def verify_odd_noninteger(n: int, comp: CompositionLike) -> Certificate:
     return _verify(STRICT_ODD, n, comp)
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(Record):
     """One exact comparison of a reference sum against its decimal cover."""
 
-    n: int
-    composition: tuple[int, ...]
-    value: Fraction
-    threshold: Fraction
-    ok: bool
+    __match_args__ = ("n", "composition", "value", "threshold", "ok")
+
+    def __init__(self, n: int, composition: tuple[int, ...], value: Fraction,
+                 threshold: Fraction, ok: bool):
+        super().__init__(n, composition, value, threshold, ok)
 
 
 def decimal_bound_checks() -> list[BoundCheck]:

@@ -6,7 +6,6 @@ Exit codes: 0 on success, 1 when a check fails, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import random
 import sys
@@ -63,7 +62,8 @@ def _cmd_eval(args) -> int:
     comp = Composition.parse(args.comp)
     value = harmonic_sum(SumSpec(args.ordering, args.parity), args.n, comp)
     if args.format == "json":
-        print(json.dumps({"value": str(value)}))
+        # a Fraction's text is digits, "-" and "/", which JSON writes as they are
+        print(f'{{"value": "{value}"}}')
     else:
         print(value)
     return 0

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import pairwise
+from itertools import compress, pairwise
+
+from .exact import Record
 
 
 # window_report's defaults, which give the threshold table n_r; the sieve
@@ -41,7 +42,7 @@ class Sieve:
                 flags[p * p :: p] = b"\x00" * len(range(p * p, limit + 1, p))
         self.limit = limit
         self.flags = flags
-        self.primes = [i for i, f in enumerate(flags) if f]
+        self.primes = list(compress(range(limit + 1), flags))
 
     def is_prime(self, m: int) -> bool:
         if m > self.limit:
@@ -142,15 +143,14 @@ _large_sieve = lru_cache(maxsize=1)(Sieve)
 REPORT_CAP_MAX = 10**7
 
 
-@dataclass(frozen=True)
-class WindowReport:
+class WindowReport(Record):
     """Scan evidence for one r: the largest uncovered integer and the
     threshold n above which every 2n is covered."""
 
-    r: int
-    max_nonmember: int
-    threshold: int
-    verified_run: int
+    __match_args__ = ("r", "max_nonmember", "threshold", "verified_run")
+
+    def __init__(self, r: int, max_nonmember: int, threshold: int, verified_run: int):
+        super().__init__(r, max_nonmember, threshold, verified_run)
 
 
 def window_report(r: int, cap: int = SCAN_CAP, run: int = SCAN_RUN,

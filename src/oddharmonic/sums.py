@@ -27,20 +27,18 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, pairwise, starmap
 from typing import Iterable, Iterator, Union
 
-from .exact import int_valuation
+from .exact import Record, int_valuation
 
 
 class WorkLimitExceeded(RuntimeError):
     """Brute-force enumeration would touch too many index tuples."""
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(Record):
     """Ordered tuple of nonzero exponents; negative means alternating.
 
     Its depth, weight, sign pattern, magnitudes and string form are
@@ -48,29 +46,22 @@ class Composition:
     only the indices.
     """
 
-    indices: tuple[int, ...]
-    depth: int = field(init=False, repr=False, compare=False)
-    weight: int = field(init=False, repr=False, compare=False)
-    all_positive: bool = field(init=False, repr=False, compare=False)
-    _magnitudes: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _text: str = field(init=False, repr=False, compare=False)
+    __match_args__ = ("indices",)
 
-    def __post_init__(self):
+    def __init__(self, indices: tuple[int, ...]):
         try:
-            idx = tuple(operator.index(i) for i in self.indices)
+            idx = tuple(operator.index(i) for i in indices)
         except TypeError as exc:
             raise ValueError(f"composition entries must be integers: "
-                             f"{self.indices!r}") from exc
+                             f"{indices!r}") from exc
         if not idx:
             raise ValueError("composition must be nonempty")
         if 0 in idx:
             raise ValueError("composition entries must be nonzero")
         mags = tuple(abs(i) for i in idx)
-        facts = {"indices": idx, "depth": len(idx), "weight": sum(mags),
-                 "all_positive": mags == idx, "_magnitudes": mags,
-                 "_text": ",".join(map(str, idx))}
-        for name, value in facts.items():
-            object.__setattr__(self, name, value)
+        vars(self).update(indices=idx, depth=len(idx), weight=sum(mags),
+                          all_positive=mags == idx, _magnitudes=mags,
+                          _text=",".join(map(str, idx)))
 
     @classmethod
     def coerce(cls, value: "CompositionLike") -> "Composition":
@@ -108,18 +99,17 @@ class Composition:
 CompositionLike = Union[Composition, Iterable[int], str, int]
 
 
-@dataclass(frozen=True)
-class SumSpec:
+class SumSpec(Record):
     """Which of the four sum families to evaluate."""
 
-    ordering: str  # "strict" | "star"
-    parity: str    # "standard" | "odd"
+    __match_args__ = ("ordering", "parity")
 
-    def __post_init__(self):
-        if self.ordering not in ("strict", "star"):
-            raise ValueError(f"ordering must be strict or star, got {self.ordering!r}")
-        if self.parity not in ("standard", "odd"):
-            raise ValueError(f"parity must be standard or odd, got {self.parity!r}")
+    def __init__(self, ordering: str, parity: str):
+        if ordering not in ("strict", "star"):
+            raise ValueError(f"ordering must be strict or star, got {ordering!r}")
+        if parity not in ("standard", "odd"):
+            raise ValueError(f"parity must be standard or odd, got {parity!r}")
+        super().__init__(ordering, parity)
 
     @property
     def star(self) -> bool:

@@ -174,12 +174,19 @@ def test_depth_threshold_crossovers():
 
 
 def test_import_leaves_mpmath_unloaded():
+    # nor dataclasses, inspect or json, which no computation needs; a
+    # certificate's dict still comes out, importing json only then
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, oddharmonic, oddharmonic.cli; print('mpmath' in sys.modules)"
+    code = ("import sys, oddharmonic, oddharmonic.cli\n"
+            "print(sorted({'mpmath', 'dataclasses', 'inspect', 'json'} & set(sys.modules)))\n"
+            "print(oddharmonic.verify_odd_noninteger(12, (1, 1)).to_json())")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    loaded, doc = proc.stdout.splitlines()
+    assert loaded == "[]"
+    assert doc == str({"kind": "WindowValuation", "n": 12, "composition": "1,1", "prime": 11,
+                       "valuation": -1, "bound": None, "rule_index": 3})
 
 
 # -- tail coefficients and the leading-exponent bound ---------------------------
@@ -294,6 +301,21 @@ def test_cascade_examples():
     cert = verify_odd_noninteger(5, (3, 1))         # needs the exponent bound
     assert cert.kind == LARGE_S1_BOUND
     assert cert.bound == 1
+
+
+def test_rule_5_looks_up_its_prime_once(monkeypatch):
+    # the point finds the Bertrand prime of n, rule 5 that of n - r + 1,
+    # which it both reads the tail valuations at and writes
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return bertrand_prime(n)
+
+    monkeypatch.setattr("oddharmonic.primes.bertrand_prime", counted)
+    cert = verify_odd_noninteger(17, (2, 1, 1))
+    assert (cert.kind, cert.prime) == (LARGE_S1_BOUND, bertrand_prime(15))
+    assert calls == [17, 15]
 
 
 def test_cascade_depth_rules():
@@ -517,10 +539,12 @@ def test_certificate_is_a_frozen_value():
     twin = Certificate(WINDOW_VALUATION, 12, Composition((1, 1)), rule_index=3,
                        prime=11, valuation=-1)
     assert twin == cert and hash(twin) == hash(cert)
-    for field in ("kind", "n", "composition", "rule_index", "prime", "valuation",
-                  "bound", "best_effort"):
-        other = dataclasses.replace(cert, **{field: getattr(Certificate(
-            DIRECT_NON_INTEGER, 13, Composition((1, 2)), 6, 7, -2, F(1, 3), True), field)})
+    fields = ("kind", "n", "composition", "rule_index", "prime", "valuation", "bound",
+              "best_effort")
+    variant = Certificate(DIRECT_NON_INTEGER, 13, Composition((1, 2)), 6, 7, -2, F(1, 3), True)
+    for field in fields:
+        other = Certificate(**{**{name: getattr(cert, name) for name in fields},
+                               field: getattr(variant, field)})
         assert other != cert, field
     certs = [cert, verify_odd_noninteger(5, (1, 2)), verify_odd_noninteger(26, (1, 1)),
              verify_star_noninteger(9, (1, 2)), verify_odd_noninteger(1, (5,))]

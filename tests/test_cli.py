@@ -44,8 +44,13 @@ def test_eval_families_and_json(capsys):
     assert (code, out.strip()) == (0, "1")
     code, out, _ = run(capsys, "eval", "--n", "2", "--comp", "-1")
     assert (code, out.strip()) == (0, "2/3")
-    code, out, _ = run(capsys, "eval", "--n", "3", "--comp", "1", "--format", "json")
-    assert json.loads(out) == {"value": "23/15"}
+    # the bytes json.dumps writes, for a fraction, a negative and an integer
+    for comp, n, line in (("1", 3, '{"value": "23/15"}\n'),
+                          ("1,-2", 5, '{"value": "-20354/297675"}\n'),
+                          ("1", 1, '{"value": "1"}\n')):
+        code, out, err = run(capsys, "eval", "--n", str(n), "--comp", comp, "--format", "json")
+        assert (code, out, err) == (0, line, "")
+        assert json.loads(out) == {"value": str(harmonic_sum(STRICT_ODD, n, comp))}
 
 
 def test_eval_output_reparses(capsys):
