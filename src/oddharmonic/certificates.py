@@ -27,15 +27,19 @@ through `_json_line`, the one writer of the JSON layout, and
 depends on n only through n <= the window threshold of its depth, so it
 is cached per composition, together with its text.
 
-Rules 1 and 3 fold the sum modulo a power of their prime, which decides
-the valuation exactly without the value (`sums.negative_valuation`).
-`sweep` already holds each row as the fold's unreduced pair (num, den),
-whose denominator has the closed-form valuation e, so it hands that pair
-over and the valuation is read off num modulo p**e instead; the final
-check num % den == 0 needs no gcd either.  The primes come from the
-prime searches in `primes`, so no reading tests primality again.
-Whenever the exact value is cheap enough to recompute, the engine checks
-non-integrality directly for the bound rules (2, 4 and 5) as well.
+Rules 1 and 3 read their valuation in one place, `_Point.valuation`,
+off the numerator x of the fold's pair, whose denominator has the
+closed-form valuation e, with x known modulo p**a.  `verify_*` folds the
+chain modulo p**e, so a = e.  A strict `sweep` row hands over the exact
+unreduced pair, on which the final check num % den == 0 needs no gcd
+either.  A star `sweep` row is decided by rule 1 alone, which needs only
+num % p, so it hands over a residue modulo a product of Bertrand primes,
+a = 1.  A zero residue with a < e is folded again modulo p**e
+(`sums.negative_valuation`), so a failed law reports its exact
+valuation.  The primes come from the prime searches in `primes`, so no
+reading tests primality again.  Whenever the exact value is cheap enough
+to recompute, the engine checks non-integrality directly for the bound
+rules (2, 4 and 5) as well.
 
 A caution on rule 3: at depth >= 2 a window prime p divides only
 ceil(r/2) of the odd numbers below 2n (even multiples of p are never odd
@@ -66,6 +70,7 @@ from .sums import (
     STAR_ODD,
     PrefixTrie,
     SumSpec,
+    _chain_residue,
     _den_valuation,
     _fold,
     dominates,
@@ -276,30 +281,41 @@ class _Point:
     fold's unreduced denominator.  Compositions come checked:
     all-positive, of depth <= n."""
 
-    __slots__ = ("spec", "n", "bertrand", "_powers", "_depths")
+    __slots__ = ("spec", "star", "n", "bertrand", "_powers", "_depths")
 
     def __init__(self, spec: SumSpec, n: int):
-        self.spec, self.n = spec, n
+        self.spec, self.star, self.n = spec, spec.star, n
         self.bertrand = primes.bertrand_prime(n) if n >= 2 else None
         self._powers: dict[tuple[int, int], tuple[int, int]] = {}
         self._depths: dict[int, tuple[Fraction | None, int | None, bool, bool]] = {}
 
-    def valuation(self, comp: Composition, p: int, value: Pair | None) -> int | None:
-        """v_p of the sum if it is negative, else None; p comes from a prime
-        search, so it is not tested again.  Without a value the sum is
-        folded modulo a power of p (`sums.negative_valuation`).  The fold's
-        own pair has a denominator of valuation exactly e, the closed form,
-        so its numerator modulo p**e decides, as in that fold."""
-        if value is None:
-            return negative_valuation(self.spec, self.n, comp, p)
-        at = p, PrefixTrie.key_of(self.spec, comp)
+    def valuation(self, comp: Composition, p: int, value: Pair | None,
+                  a: int | None = None) -> int | None:
+        """v_p of the sum if it is negative, else None, read off x, the
+        numerator of the fold's pair, known modulo p**a (a None: exactly);
+        p comes from a prime search, so it is not tested again.  The fold's
+        denominator has valuation exactly e, the closed form.  Without a
+        value the chain is folded modulo p**e here, which gives x with a = e.
+        A nonzero x modulo p**min(a, e) gives v = v_p(that) - e; a zero one
+        says v >= 0 when a >= e, and otherwise the sum is folded modulo
+        p**e (`sums.negative_valuation`) for the exact answer."""
+        at = p, comp.weight if self.star else max(comp.magnitudes())
         powers = self._powers.get(at)
         if powers is None:
             e = _den_valuation(self.spec, self.n, comp, p)
             powers = self._powers[at] = e, p ** e
         e, pe = powers
-        x = value[0] % pe
-        return int_valuation(x, p) - e if x else None
+        if value is None:
+            x, a = _chain_residue(self.spec, self.n, comp, pe), e
+        else:
+            x = value[0]
+        if a is None or a >= e:
+            x %= pe
+        elif not (x := x % p ** a):
+            return negative_valuation(self.spec, self.n, comp, p)
+        if not x:
+            return None
+        return (int_valuation(x, p) if x % p == 0 else 0) - e
 
     def _depth(self, r: int) -> tuple[Fraction | None, int | None, bool, bool]:
         """(rule-2 bound, window prime, rule 4 applies, best_effort) at
@@ -317,21 +333,25 @@ class _Point:
             facts = self._depths[r] = bound, window, n <= threshold, n >= threshold
         return facts
 
-    def certify(self, comp: Composition, value: Pair | None = None) -> Fields:
+    def certify(self, comp: Composition, value: Pair | None = None,
+                a: int | None = None) -> Fields:
         """The fields of comp's certificate: the first rule of the cascade
         that applies.  A value, the fold's own pair (num, den) of the sum,
-        replaces every evaluation of it; RuntimeError if a check fails."""
+        replaces every evaluation of it; RuntimeError if a check fails.
+        A value known only modulo p**a at the Bertrand prime p serves rule
+        1 alone, so it may be given only where rule 1 decides: star sums
+        and depth 1."""
         n, r = self.n, comp.depth
         if n == 1:
             return TRIVIAL_INTEGER, n, comp, 0, None, None, None, False
-        if self.spec.star or r == 1:
+        if self.star or r == 1:
             # Rule 1: a prime n < p < 2n divides exactly one odd
             # denominator.  For star sums, and for strict sums of depth 1,
             # the term using it at every position is the unique one of
             # minimal valuation, so the sum has valuation exactly -weight.
             # The valuation is computed, not assumed.
             p = self.bertrand
-            v = self.valuation(comp, p, value)
+            v = self.valuation(comp, p, value, a)
             if v != -comp.weight:
                 raise RuntimeError(
                     f"valuation law failed: v_{p} of {self.spec.ordering} sum at n={n}, "
@@ -345,7 +365,7 @@ class _Point:
             fields = DEPTH_BOUND, n, comp, 2, None, None, bound, False
         # A window prime that certifies nothing is rare in principle only;
         # a later rule then certifies.
-        elif window is not None and (v := self.valuation(comp, window, value)) is not None:
+        elif window is not None and (v := self.valuation(comp, window, value, a)) is not None:
             return WINDOW_VALUATION, n, comp, 3, window, v, None, False
         elif tabulated and (magnitude := _magnitude_bound(comp.indices)) is not None:
             fields = MAGNITUDE_BOUND, n, comp, 4, None, None, magnitude[0], best_effort
@@ -362,10 +382,11 @@ class _Point:
                                    f"contradicts {fields[0]} certificate")
         return fields
 
-    def line(self, comp: Composition, value: Pair | None = None) -> str:
+    def line(self, comp: Composition, value: Pair | None = None, a: int | None = None) -> str:
         """The JSON line of comp's certificate; a rule-4 line takes its
         bound's text from `_magnitude_bound`, made once per composition."""
-        kind, n, comp, rule_index, prime, valuation, bound, best_effort = self.certify(comp, value)
+        kind, n, comp, rule_index, prime, valuation, bound, best_effort = self.certify(
+            comp, value, a)
         if kind == MAGNITUDE_BOUND:
             bound = _magnitude_bound(comp.indices)[1]
         return _json_line(kind, n, comp, rule_index, prime, valuation, bound, best_effort)
@@ -397,8 +418,7 @@ def verify_odd_noninteger(n: int, comp: CompositionLike) -> Certificate:
     recomputed and its denominator checked, whichever bound rule fired.
     Certificates from rules 4-6 outside the tabulated regime (n past the
     window threshold, or depth > 17) are flagged best_effort.  Rules 1
-    and 3 take their valuation modulo a power of their prime, without the
-    value.
+    and 3 fold the sum modulo p**e at their prime p, without the value.
     """
     return _verify(STRICT_ODD, n, comp)
 

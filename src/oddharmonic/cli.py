@@ -10,6 +10,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import hyper, primes
 from .certificates import (
@@ -97,7 +98,9 @@ def _odd_product_bits(n: int) -> int:
 
 def _sweep_state_bytes(n_min: int, n_max: int, weight_max: int, depth_max: int,
                        star: bool) -> int:
-    """Estimated size of the integers the sweep's tries hold at n_max.
+    """Estimated size of the integers the sweep's tries hold at n_max,
+    folded exactly.  Star tries, which `_cmd_sweep` folds modulo a product
+    of Bertrand primes, hold residues below that product instead.
 
     Each has at most the bit length of its trie's unreduced denominator,
     the product of (2k+1)**m over k < n_max for a trie of key m.  A trie
@@ -154,20 +157,30 @@ def _cmd_sweep(args) -> int:
     # The compositions sharing a key share one trie, and the tries advance
     # in lockstep over n; a composition has rows from n = its depth on.
     # One point per n holds what its rows share.  Each row is certified from
-    # its node's unreduced (num, den) pair and written from the
-    # certificate's fields: no Fraction and no Certificate is built.
+    # its node's (num, den) pair and written from the certificate's fields:
+    # no Fraction and no Certificate is built.  A star row is decided by
+    # rule 1 alone, from num modulo its Bertrand prime p, so the star tries
+    # fold modulo M, the product of the points' own primes: each node then
+    # holds a residue below M, which gives num modulo p (a = 1) at every n.
+    # Strict rows may need num modulo higher powers, or the value, so
+    # their tries fold exactly.
     tries, rows = _sweep_grid(spec, n_lo, args.weight_max, min(depth_max, args.n_max))
-    folds = [_fold(spec, trie, range(args.n_max), n_lo - 1) for trie in tries]
+    points = (_Point(spec, n) for n in range(n_lo, args.n_max + 1))
+    modulus = a = None
+    if spec.star:
+        points = list(points)
+        modulus, a = math.prod({point.bertrand for point in points} - {None}), 1
+    folds = [_fold(spec, trie, range(args.n_max), n_lo - 1, modulus) for trie in tries]
     write, failures = sys.stdout.write, 0
-    for n in range(n_lo, args.n_max + 1):
+    for point in points:
+        n, line = point.n, point.line
         states = {trie: next(fold) for trie, fold in zip(tries, folds)}
-        line = _Point(spec, n).line
         for comp, start, trie, node in rows:
             if n < start:
                 continue
             v, den = states[trie]
             try:
-                text = line(comp, (v[node], den))
+                text = line(comp, (v[node], den), a)
             except RuntimeError as exc:
                 print(f"FAIL n={n} comp={comp}: {exc}", file=sys.stderr)
                 failures += 1
@@ -325,7 +338,9 @@ def _cmd_identity(args) -> int:
     return 0 if all_equal else 1
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="oddharmonic",
         description="Exact multiple harmonic sums, non-integrality "
@@ -381,8 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     # Exact values and bounds can run past the interpreter's default limit
     # on int-to-decimal conversion; lift it for this call only.
     saved_limit = sys.get_int_max_str_digits()

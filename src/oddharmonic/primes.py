@@ -125,8 +125,8 @@ def window_prime(n: int, r: int) -> int | None:
 
     The certificate engine tries such a prime first when showing a
     depth-r odd sum at n is not an integer; whether it certifies is then
-    decided by the valuation at p, folded modulo a power of p or read off
-    the fold's own pair (it is usually negative).  The engine keeps it
+    decided by the valuation at p, read off the numerator of the fold's
+    pair modulo a power of p (it is usually negative).  The engine keeps it
     per (n, r) in its cascade point, so no cache holds it here.
     """
     if not 1 <= r <= n:

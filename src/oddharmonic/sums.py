@@ -18,9 +18,10 @@ the state after index k-1 is the sum at n = k: `harmonic_sum_pairs`
 yields those at n_min..n_max as they come, `harmonic_sum_prefixes`
 reduces them to Fractions and `harmonic_sum` is its value at n.  Rule
 5 of the certificates folds a reversed tail from k = n-1 down.  Folded
-modulo a prime power, the same loop gives `negative_valuation` without
-the value.  Nothing is cached.  The brute-force enumerator is an
-independent oracle.
+modulo an integer, the same loop gives residues instead of values:
+modulo a prime power it gives `negative_valuation`, and `sweep --star`
+folds its tries modulo the product of its Bertrand primes.  Nothing is
+cached.  The brute-force enumerator is an independent oracle.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class Composition(Record):
 
     def __init__(self, indices: tuple[int, ...]):
         try:
-            idx = tuple(operator.index(i) for i in indices)
+            idx = tuple(map(operator.index, indices))
         except TypeError as exc:
             raise ValueError(f"composition entries must be integers: "
                              f"{indices!r}") from exc
@@ -58,7 +59,7 @@ class Composition(Record):
             raise ValueError("composition must be nonempty")
         if 0 in idx:
             raise ValueError("composition entries must be nonzero")
-        mags = tuple(abs(i) for i in idx)
+        mags = tuple(map(abs, idx))
         vars(self).update(indices=idx, depth=len(idx), weight=sum(mags),
                           all_positive=mags == idx, _magnitudes=mags,
                           _text=",".join(map(str, idx)))
@@ -306,9 +307,15 @@ def negative_valuation(spec: SumSpec, n: int, comp: CompositionLike,
     if p < 2:
         raise ValueError(f"p must be prime, got {p}")
     e = _den_valuation(spec, n, comp, p)
-    v, _ = next(_fold(spec, PrefixTrie.chain(spec, comp), range(n), n - 1, p ** e))
-    x = v[-1]
+    x = _chain_residue(spec, n, comp, p ** e)
     return int_valuation(x, p) - e if x else None
+
+
+def _chain_residue(spec: SumSpec, n: int, comp: Composition, modulus: int) -> int:
+    """The numerator of the fold's unreduced pair at n, modulo modulus,
+    from comp's chain folded modulo it; the arguments come checked."""
+    v, _ = next(_fold(spec, PrefixTrie.chain(spec, comp), range(n), n - 1, modulus))
+    return v[-1]
 
 
 def harmonic_sum_brute(spec: SumSpec, n: int, comp: CompositionLike,

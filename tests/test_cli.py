@@ -10,6 +10,7 @@ import pytest
 
 from oddharmonic import cli, hyper, primes
 from oddharmonic.certificates import (
+    _Point,
     verify_odd_noninteger,
     verify_star_noninteger,
 )
@@ -340,6 +341,114 @@ def test_sweep_memory_estimate():
             assert cli._sweep_state_bytes(*grid, star) < cli.SWEEP_STATE_LIMIT_BYTES // 100
         assert cli._sweep_state_bytes(13, 12, 6, 6, star) == 0
         assert cli._sweep_state_bytes(2, 12, 0, 0, star) == 0
+
+
+def _star_sweeps():
+    """The parsed arguments of every pinned star sweep."""
+    for family, flags, _, _ in PINNED_SWEEPS:
+        if family == "--star":
+            yield cli._build_parser().parse_args(
+                ["sweep", "--n-max", "12", "--weight-max", "6", family, *flags])
+
+
+def test_star_residues_read_as_the_exact_pairs():
+    # at every star row of the pinned grids, the node's residue modulo the
+    # product of the grid's Bertrand primes, read as known modulo p**1,
+    # gives the valuation its exact pair gives: at the row's own prime,
+    # and at 3, where e exceeds 1, so a zero residue is folded again
+    checked, refolded = 0, 0
+    for args in _star_sweeps():
+        n_lo, depth_max = max(args.n_min, 1), args.depth_max or args.weight_max
+        tries, rows = cli._sweep_grid(STAR_ODD, n_lo, args.weight_max,
+                                      min(depth_max, args.n_max))
+        points = [_Point(STAR_ODD, n) for n in range(n_lo, args.n_max + 1)]
+        modulus = math.prod({point.bertrand for point in points} - {None})
+        exact = [_fold(STAR_ODD, trie, range(args.n_max), n_lo - 1) for trie in tries]
+        residues = [_fold(STAR_ODD, trie, range(args.n_max), n_lo - 1, modulus)
+                    for trie in tries]
+        for point in points:
+            pairs = {trie: next(fold) for trie, fold in zip(tries, exact)}
+            held = {trie: next(fold) for trie, fold in zip(tries, residues)}
+            if point.bertrand is None:
+                continue
+            for comp, start, trie, node in rows:
+                if point.n < start:
+                    continue
+                (v, den), (x, held_den) = pairs[trie], held[trie]
+                for p in {point.bertrand, 3} if modulus % 3 == 0 else {point.bertrand}:
+                    assert x[node] % p == v[node] % p
+                    want = point.valuation(comp, p, (v[node], den))
+                    assert point.valuation(comp, p, (x[node], held_den), 1) == want, (point.n, comp)
+                    checked += 1
+                    refolded += p == 3 and x[node] % 3 == 0
+    assert (checked, refolded) == (23_439, 10_970)
+
+
+@pytest.mark.parametrize("family", ["--strict", "--star"])
+def test_sweep_folds_star_tries_only_modulo_their_primes(capsys, monkeypatch, family):
+    # star tries are folded modulo the product of the Bertrand primes of
+    # n = 2..40, strict tries exactly
+    moduli = []
+
+    def spy(spec, trie, indices, skip, modulus=None):
+        moduli.append((spec.star, modulus))
+        return _fold(spec, trie, indices, skip, modulus)
+
+    monkeypatch.setattr("oddharmonic.cli._fold", spy)
+    code, out, err = run(capsys, "sweep", *BENCH_GRID, family)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == BENCH_GRID_SHA256[family]
+    star = family == "--star"
+    product = math.prod({primes.bertrand_prime(n) for n in range(2, 41)}) if star else None
+    assert moduli and set(moduli) == {(star, product)}
+
+
+# A rule-1 fault injected at one n, the wrong prime 5 in place of 23 at
+# n = 12, and what the exact reading made of it: three star rows fail the
+# law, each after its zero residue modulo 5 is folded again modulo 5**e.
+FAULT_STDERR = """\
+FAIL n=12 comp=2: valuation law failed: v_5 of star sum at n=12, comp=2 is -1, expected -2
+FAIL n=12 comp=1,1,1: valuation law failed: v_5 of star sum at n=12, comp=1,1,1 is -1, expected -3
+FAIL n=12 comp=1,3: valuation law failed: v_5 of star sum at n=12, comp=1,3 is -3, expected -4
+"""
+FAULT_SHA256 = "d0fd16a98ee53a72c6f6c466100a7c45ba4e3a48062cd08c865c75a532e35f56"
+
+
+def test_star_rule_one_fault_is_reported_exactly(capsys, monkeypatch):
+    bertrand = primes.bertrand_prime
+    monkeypatch.setattr("oddharmonic.primes.bertrand_prime",
+                        lambda n: 5 if n == 12 else bertrand(n))
+    code, out, err = run(capsys, "sweep", "--n-max", "12", "--weight-max", "4", "--star")
+    assert (code, err) == (1, FAULT_STDERR)
+    assert len(out.splitlines()) == 156
+    assert hashlib.sha256(out.encode()).hexdigest() == FAULT_SHA256
+    # a prime above 2n leaves nothing negative to read
+    monkeypatch.setattr("oddharmonic.primes.bertrand_prime",
+                        lambda n: 29 if n == 12 else bertrand(n))
+    code, _, err = run(capsys, "sweep", "--n-max", "12", "--weight-max", "1", "--star")
+    assert (code, err) == (1, "FAIL n=12 comp=1: valuation law failed: v_29 of star sum "
+                              "at n=12, comp=1 is not negative, expected -1\n")
+
+
+def test_main_builds_one_parser(capsys):
+    # two calls share one parser; parsing leaves it as a fresh one is, so
+    # usage, help and error output stay the same
+    cli._build_parser.cache_clear()
+    argv, line = VERIFY_PLAIN[0]
+    for _ in range(2):
+        assert run(capsys, "verify", *argv, "--format", "plain") == (0, line + "\n", "")
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    fresh = cli._build_parser.__wrapped__()
+    for argv in ([], ["--help"], ["sweep", "--help"], ["sweep", "--n-max", "x"],
+                 ["verify", "--star", "--strict", "--n", "2", "--comp", "1"], ["bounds", "-x"]):
+        seen = []
+        for parser in (fresh, cli._build_parser(), cli._build_parser()):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            seen.append((exc.value.code, *capsys.readouterr()))
+        assert seen[0] == seen[1] == seen[2], argv
+        assert seen[0][0] in (0, 2) and seen[0][1 if argv[-1:] == ["--help"] else 2]
 
 
 @pytest.mark.parametrize("family, verifier", [("--strict", verify_odd_noninteger),
