@@ -58,7 +58,6 @@ from .sums import (
     harmonic_sum_brute,
     harmonic_sum_pairs,
     harmonic_sum_prefixes,
-    negative_valuation,
     ones_power_bound,
 )
 

@@ -27,19 +27,19 @@ through `_json_line`, the one writer of the JSON layout, and
 depends on n only through n <= the window threshold of its depth, so it
 is cached per composition, together with its text.
 
-Rules 1 and 3 read their valuation in one place, `_Point.valuation`,
+The package reads a sum's valuation in one place, `_Point.valuation`,
 off the numerator x of the fold's pair, whose denominator has the
-closed-form valuation e, with x known modulo p**a.  `verify_*` folds the
-chain modulo p**e, so a = e.  A strict `sweep` row hands over the exact
-unreduced pair, on which the final check num % den == 0 needs no gcd
-either.  A star `sweep` row is decided by rule 1 alone, which needs only
-num % p, so it hands over a residue modulo a product of Bertrand primes,
-a = 1.  A zero residue with a < e is folded again modulo p**e
-(`sums.negative_valuation`), so a failed law reports its exact
-valuation.  The primes come from the prime searches in `primes`, so no
-reading tests primality again.  Whenever the exact value is cheap enough
-to recompute, the engine checks non-integrality directly for the bound
-rules (2, 4 and 5) as well.
+closed-form valuation e, with x known modulo p**a.  Given no value, as
+from `verify_*`, it folds the chain modulo p**e itself, so a = e.  A
+strict `sweep` row hands over the exact unreduced pair, on which the
+final check num % den == 0 needs no gcd either.  A star `sweep` row is
+decided by rule 1 alone, which needs only num % p, so it hands over a
+residue modulo a product of Bertrand primes, a = 1.  A zero residue with
+a < e is read again from the chain folded modulo p**e, so a failed law
+reports its exact valuation.  The primes come from the prime searches
+in `primes`, so no reading tests primality again.  Whenever the exact
+value is cheap enough to recompute, the engine checks non-integrality
+directly for the bound rules (2, 4 and 5) as well.
 
 A caution on rule 3: at depth >= 2 a window prime p divides only
 ceil(r/2) of the odd numbers below 2n (even multiples of p are never odd
@@ -70,13 +70,11 @@ from .sums import (
     STAR_ODD,
     PrefixTrie,
     SumSpec,
-    _chain_residue,
     _den_valuation,
     _fold,
     dominates,
     harmonic_sum,
     harmonic_sum_pairs,
-    negative_valuation,
     ones_power_bound,
 )
 
@@ -292,13 +290,14 @@ class _Point:
     def valuation(self, comp: Composition, p: int, value: Pair | None,
                   a: int | None = None) -> int | None:
         """v_p of the sum if it is negative, else None, read off x, the
-        numerator of the fold's pair, known modulo p**a (a None: exactly);
-        p comes from a prime search, so it is not tested again.  The fold's
-        denominator has valuation exactly e, the closed form.  Without a
-        value the chain is folded modulo p**e here, which gives x with a = e.
-        A nonzero x modulo p**min(a, e) gives v = v_p(that) - e; a zero one
-        says v >= 0 when a >= e, and otherwise the sum is folded modulo
-        p**e (`sums.negative_valuation`) for the exact answer."""
+        numerator of the fold's pair, known modulo p**a (a None: exactly).
+        The fold's denominator has valuation exactly e, in closed form, so
+        a nonzero x modulo p**min(a, e) gives v = v_p(that) - e, and a zero
+        one says v >= 0 when a >= e.  Without a value, the chain is folded
+        modulo p**e here, which gives x with a = e; a zero x known only
+        modulo p**a, a < e, is read again that way.  Exact at every prime
+        and every n.  p must be prime; the cascade's primes come from the
+        prime searches, so p is not tested again."""
         at = p, comp.weight if self.star else max(comp.magnitudes())
         powers = self._powers.get(at)
         if powers is None:
@@ -306,13 +305,12 @@ class _Point:
             powers = self._powers[at] = e, p ** e
         e, pe = powers
         if value is None:
-            x, a = _chain_residue(self.spec, self.n, comp, pe), e
-        else:
-            x = value[0]
-        if a is None or a >= e:
-            x %= pe
-        elif not (x := x % p ** a):
-            return negative_valuation(self.spec, self.n, comp, p)
+            chain = PrefixTrie.chain(self.spec, comp)
+            x = next(_fold(self.spec, chain, range(self.n), self.n - 1, pe))[0][-1]
+        elif a is None or a >= e:
+            x = value[0] % pe
+        elif not (x := value[0] % p ** a):
+            return self.valuation(comp, p, None)
         if not x:
             return None
         return (int_valuation(x, p) if x % p == 0 else 0) - e

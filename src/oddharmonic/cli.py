@@ -81,8 +81,14 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-# `sweep` refuses a grid whose folds would hold more than this in integers.
+# `sweep` refuses a grid whose estimated footprint is more than this.
 SWEEP_STATE_LIMIT_BYTES = 256 << 20
+
+# Bytes that `sweep` holds beside its integers' digits, measured with
+# tracemalloc and rounded up: per trie node (its trie entries and index
+# key, its fold step and its integer's header) and per composition (its
+# Composition and its row).
+_NODE_BYTES, _COMPOSITION_BYTES = 320, 1100
 
 
 def _odd_product_bits(n: int) -> int:
@@ -98,35 +104,53 @@ def _odd_product_bits(n: int) -> int:
 
 def _sweep_state_bytes(n_min: int, n_max: int, weight_max: int, depth_max: int,
                        star: bool) -> int:
-    """Estimated size of the integers the sweep's tries hold at n_max,
-    folded exactly.  Star tries, which `_cmd_sweep` folds modulo a product
-    of Bertrand primes, hold residues below that product instead.
+    """Estimated bytes the sweep holds at n_max: its tries' integers, at 4
+    bytes per 30 bits as CPython stores them, and the overheads above."""
+    bits, nodes, comps = _sweep_state(n_min, n_max, weight_max, depth_max, star)
+    return bits * 4 // 30 + nodes * _NODE_BYTES + comps * _COMPOSITION_BYTES
 
-    Each has at most the bit length of its trie's unreduced denominator,
-    the product of (2k+1)**m over k < n_max for a trie of key m.  A trie
-    holds the empty prefix, a star trie also its denominator, and each
-    composition of weight w and depth d (there are C(w-1, d-1)) is a node
-    of the trie of its own key and, below the depth limit, of each trie
-    it reaches with one more entry: star keys W in (w, weight_max],
-    strict keys m <= weight_max - w at most.  So its nodes' keys sum to
-    w + T(weight_max) - T(w) for star sums and to at most w +
-    T(weight_max - w) for strict ones, T(x) = x(x+1)/2.  Nothing is
-    enumerated or evaluated.
+
+def _sweep_state(n_min: int, n_max: int, weight_max: int, depth_max: int,
+                 star: bool) -> tuple[int, int, int]:
+    """Upper bounds on the bits of the integers the sweep's tries hold at
+    n_max and on their number, and the number of compositions.
+
+    A trie holds the empty prefix, a star trie also its denominator, and
+    each composition of weight w and depth d (there are C(w-1, d-1)) is a
+    node of the trie of its own key and, below the depth limit, of each
+    trie it reaches with one more entry, at most weight_max - w of them
+    (exactly that many for star sums, whose key is the weight).
+
+    Strict tries fold exactly, so each integer has at most the bit length
+    of its trie's unreduced denominator, the product of (2k+1)**m over
+    k < n_max for a trie of key m.  Strict keys m <= weight_max - w reach
+    a composition of weight w, so its nodes' keys sum to at most w +
+    T(weight_max - w), T(x) = x(x+1)/2.  Star tries fold modulo M, the
+    product of at most n_max - max(n_min, 2) + 1 distinct primes below
+    2n_max, and M < 4**(2n_max) as well (Erdős: the primes up to x
+    multiply to less than 4**x).  A star node holds a residue below M,
+    times at most (2n_max)**weight_max before it is reduced.  Nothing is
+    enumerated or evaluated, and no prime is searched for.
     """
     if n_min > n_max or min(weight_max, depth_max) < 1:
-        return 0
-    bits_per_key = _odd_product_bits(n_max)
+        return 0, 0, 0
     depth = min(depth_max, n_max)
 
     def triangle(x: int) -> int:
         return x * (x + 1) // 2
 
-    keys = triangle(weight_max) * (2 if star else 1)  # the empty prefixes
+    nodes, keys, comps = weight_max * (1 + star), triangle(weight_max), 0
     for w in range(1, weight_max + 1):
-        above = triangle(weight_max) - triangle(w) if star else triangle(weight_max - w)
-        keys += sum(math.comb(w - 1, d - 1) * (w + (above if d < depth else 0))
-                    for d in range(1, min(w, depth) + 1))
-    return keys * bits_per_key // 8
+        for d in range(1, min(w, depth) + 1):
+            count, extends = math.comb(w - 1, d - 1), d < depth
+            comps += count
+            nodes += count * (1 + (weight_max - w) * extends)
+            keys += count * (w + triangle(weight_max - w) * extends)
+    if not star:
+        return keys * _odd_product_bits(n_max), nodes, comps
+    top = (2 * n_max - 1).bit_length()
+    m_bits = min((n_max - max(n_min, 2) + 1) * top, 4 * n_max)
+    return nodes * (m_bits + weight_max * top + 1), nodes, comps
 
 
 def _sweep_grid(spec: SumSpec, n_lo: int, weight_max: int, depth_max: int):
@@ -148,7 +172,7 @@ def _cmd_sweep(args) -> int:
     depth_max = args.depth_max if args.depth_max is not None else args.weight_max
     state = _sweep_state_bytes(args.n_min, args.n_max, args.weight_max, depth_max, spec.star)
     if state > SWEEP_STATE_LIMIT_BYTES:
-        raise ValueError(f"sweep would hold about {state >> 20} MiB of fold state, over "
+        raise ValueError(f"sweep would hold about {state >> 20} MiB, over "
                          f"its limit of {SWEEP_STATE_LIMIT_BYTES >> 20} MiB; "
                          "lower --n-max, --weight-max or --depth-max")
     n_lo = max(args.n_min, 1)
@@ -165,14 +189,13 @@ def _cmd_sweep(args) -> int:
     # Strict rows may need num modulo higher powers, or the value, so
     # their tries fold exactly.
     tries, rows = _sweep_grid(spec, n_lo, args.weight_max, min(depth_max, args.n_max))
-    points = (_Point(spec, n) for n in range(n_lo, args.n_max + 1))
     modulus = a = None
     if spec.star:
-        points = list(points)
-        modulus, a = math.prod({point.bertrand for point in points} - {None}), 1
+        bertrand = map(primes.bertrand_prime, range(max(n_lo, 2), args.n_max + 1))
+        modulus, a = math.prod(set(bertrand)), 1
     folds = [_fold(spec, trie, range(args.n_max), n_lo - 1, modulus) for trie in tries]
     write, failures = sys.stdout.write, 0
-    for point in points:
+    for point in (_Point(spec, n) for n in range(n_lo, args.n_max + 1)):
         n, line = point.n, point.line
         states = {trie: next(fold) for trie, fold in zip(tries, folds)}
         for comp, start, trie, node in rows:
@@ -296,12 +319,11 @@ def _identity_rows(suite, n_max, s_max, m_max, xs, seed, count):
             yield ("blocks-depth1", n, "", 1, "", "", block, value)
     elif suite == "inversion":
         n_max, s_max, m_max = _or(n_max, 15), _or(s_max, 3), _or(m_max, 5)
-        half, threehalf = Fraction(1, 2), Fraction(3, 2)
         for s in range(1, s_max + 1):
             for sign in (1, -1):
                 rows = hyper.alternating_binomial_sums(
                     harmonic_sum_prefixes(STRICT_ODD, (sign * s,), 1, n_max))
-                series = hyper.pfq_rows((half,) * s, (threehalf,) * s, sign)
+                series = hyper.pfq_rows((hyper.HALF,) * s, (hyper.THREE_HALVES,) * s, sign)
                 for n, (rhs, lhs) in enumerate(zip(rows, series), start=1):
                     yield (suite, n, s, "", "", sign, lhs, rhs)
         for m in range(1, m_max + 1):

@@ -19,9 +19,10 @@ yields those at n_min..n_max as they come, `harmonic_sum_prefixes`
 reduces them to Fractions and `harmonic_sum` is its value at n.  Rule
 5 of the certificates folds a reversed tail from k = n-1 down.  Folded
 modulo an integer, the same loop gives residues instead of values:
-modulo a prime power it gives `negative_valuation`, and `sweep --star`
-folds its tries modulo the product of its Bertrand primes.  Nothing is
-cached.  The brute-force enumerator is an independent oracle.
+modulo a prime power it gives the valuations that the certificates read
+(`certificates._Point.valuation`), and `sweep --star` folds its tries
+modulo the product of its Bertrand primes.  Nothing is cached.  The
+brute-force enumerator is an independent oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, pairwise, starmap
 from typing import Iterable, Iterator, Union
 
-from .exact import Record, int_valuation
+from .exact import Record
 
 
 class WorkLimitExceeded(RuntimeError):
@@ -290,32 +291,6 @@ def _den_valuation(spec: SumSpec, n: int, comp: Composition, p: int) -> int:
             m //= p
             e -= m
     return e * PrefixTrie.key_of(spec, comp)
-
-
-def negative_valuation(spec: SumSpec, n: int, comp: CompositionLike,
-                       p: int) -> int | None:
-    """v_p of the sum at n if it is negative, else None; p must be prime.
-
-    The fold's unreduced denominator has valuation e in closed form
-    (`_den_valuation`).  Fold the numerator modulo p**e.  A nonzero
-    residue x gives the valuation exactly, v_p(x) - e < 0; a zero residue
-    means p**e divides the numerator, so the valuation is >= 0.  Exact
-    at every prime and every n, with no precision to choose.
-    """
-    comp = Composition.coerce(comp)
-    n, p = spec.validate(n, comp), operator.index(p)
-    if p < 2:
-        raise ValueError(f"p must be prime, got {p}")
-    e = _den_valuation(spec, n, comp, p)
-    x = _chain_residue(spec, n, comp, p ** e)
-    return int_valuation(x, p) - e if x else None
-
-
-def _chain_residue(spec: SumSpec, n: int, comp: Composition, modulus: int) -> int:
-    """The numerator of the fold's unreduced pair at n, modulo modulus,
-    from comp's chain folded modulo it; the arguments come checked."""
-    v, _ = next(_fold(spec, PrefixTrie.chain(spec, comp), range(n), n - 1, modulus))
-    return v[-1]
 
 
 def harmonic_sum_brute(spec: SumSpec, n: int, comp: CompositionLike,

@@ -6,13 +6,22 @@ are checked against, summed one Fraction term at a time."""
 import math
 from fractions import Fraction
 
+from oddharmonic.certificates import _Point
 from oddharmonic.exact import as_rational, int_valuation
+from oddharmonic.sums import Composition
 
 
 def valuation(a, p):
     """v_p of a nonzero rational, from its numerator and denominator."""
     a = Fraction(a)
     return int_valuation(a.numerator, p) - int_valuation(a.denominator, p)
+
+
+def read_valuation(spec, n, comp, p):
+    """The certificates' valuation reader at p on comp's sum at n, given no
+    value: comp's chain folded modulo p**e, where e is the valuation of the
+    fold's denominator.  A negative valuation, or None."""
+    return _Point(spec, n).valuation(Composition.coerce(comp), p, None)
 
 
 def pochhammer(a, i: int) -> Fraction:

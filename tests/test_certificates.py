@@ -40,9 +40,8 @@ from oddharmonic.sums import (
     compositions,
     harmonic_sum,
     harmonic_sum_pairs,
-    negative_valuation,
 )
-from reference import valuation
+from reference import read_valuation, valuation
 
 F = Fraction
 
@@ -92,10 +91,10 @@ def test_window_valuation_is_negative_but_not_weight():
     # a window prime divides only ceil(r/2) odd numbers below 2n, so the
     # valuation is negative yet exceeds -weight at depth >= 2
     assert window_prime(12, 2) == 11
-    assert negative_valuation(STRICT_ODD, 12, (1, 1), 11) == -1
-    assert negative_valuation(STRICT_ODD, 12, (2, 3), 11) == -2
+    assert read_valuation(STRICT_ODD, 12, (1, 1), 11) == -1
+    assert read_valuation(STRICT_ODD, 12, (2, 3), 11) == -2
     assert window_prime(2, 1) == 3
-    assert negative_valuation(STRICT_ODD, 2, (1,), 3) == -1  # depth 1: exactly -weight
+    assert read_valuation(STRICT_ODD, 2, (1,), 3) == -1  # depth 1: exactly -weight
 
 
 def test_window_prime_can_fail_to_certify():
@@ -111,7 +110,7 @@ def test_window_prime_can_fail_to_certify():
     for n, r, comp, p, v in known:
         assert window_prime(n, r) == p
         assert valuation(harmonic_sum(STRICT_ODD, n, comp), p) == v
-        assert negative_valuation(STRICT_ODD, n, comp, p) is None
+        assert read_valuation(STRICT_ODD, n, comp, p) is None
         assert harmonic_sum(STRICT_ODD, n, comp).denominator > 1
         assert verify_odd_noninteger(n, comp).kind != TRIVIAL_INTEGER
 
@@ -123,7 +122,7 @@ def test_window_valuation_negative_or_fallthrough_across_grid():
             if p is None:
                 continue
             for comp in ((1,) * r, (2,) + (1,) * (r - 1), (1,) * (r - 1) + (3,)):
-                v = negative_valuation(STRICT_ODD, n, comp, p)
+                v = read_valuation(STRICT_ODD, n, comp, p)
                 if v is None:
                     # window prime useless here; the cascade still certifies
                     cert = verify_odd_noninteger(n, comp)

@@ -1,9 +1,13 @@
 """CLI surface: commands, formats, exit codes, output round-trips."""
 
+import contextlib
+import gc
 import hashlib
 import json
 import math
+import os
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -22,6 +26,7 @@ from oddharmonic.sums import (
     _fold,
     compositions,
     harmonic_sum,
+    harmonic_sum_pairs,
 )
 from reference import alternating_reference, block_sum
 
@@ -211,6 +216,24 @@ def test_sweep_output_digest(capsys, family, flags, digest, lines):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# The sweeps that CI pins at large n, n = 1990..2000 at weight <= 5, with
+# their SHA-256: 341 lines each.  Strict rows are read off exact pairs (286
+# WindowValuation and 55 StarValuation lines), star rows off residues.
+LARGE_SWEEPS = [
+    ("--strict", "629d8163b9fe221224bb48a3868dac2b700dda5a1a13207189ef60872db0faa2"),
+    ("--star", "9cf0ad2e7a74ccff872988a832db0985260f3a559b1b920eebb4d71c9a8912b5"),
+]
+
+
+@pytest.mark.parametrize("family, digest", LARGE_SWEEPS)
+def test_large_n_sweep_digest(capsys, family, digest):
+    code, out, err = run(capsys, "sweep", "--n-min", "1990", "--n-max", "2000",
+                         "--weight-max", "5", family)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 341
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 VERIFIERS = {"--strict": verify_odd_noninteger, "--star": verify_star_noninteger}
 
 
@@ -309,38 +332,71 @@ def test_sweep_refuses_a_grid_over_its_memory_budget(capsys, monkeypatch):
 
 
 def _trie_state_bits(star, n_max, weight_max, depth_max):
-    """Bits of every integer the sweep's tries hold at n_max, counted on
-    the tries themselves, and the number of their nodes."""
+    """Bits of every integer the sweep's tries hold at n_max, folded as the
+    sweep folds them (star tries modulo the product of the Bertrand primes
+    of n = 2..n_max), the number of their nodes and the number of rows."""
     spec = STAR_ODD if star else STRICT_ODD
-    tries, _ = cli._sweep_grid(spec, 1, weight_max, min(depth_max, n_max))
+    tries, rows = cli._sweep_grid(spec, 1, weight_max, min(depth_max, n_max))
+    modulus = math.prod({primes.bertrand_prime(n) for n in range(2, n_max + 1)}) if star else None
     bits = 0
     for trie in tries:
-        *_, (v, den) = _fold(spec, trie, range(n_max), 0)
+        *_, (v, den) = _fold(spec, trie, range(n_max), 0, modulus)
         bits += sum(x.bit_length() for x in v) + (den.bit_length() if star else 0)
-    return bits, sum(len(trie.parents) for trie in tries)
+    return bits, sum(len(trie.parents) for trie in tries), len(rows)
 
 
 def test_sweep_memory_estimate():
     # closed-form bit count against the bit lengths of 1, 3, ..., 2n-1
     for n in range(1, 300):
         assert cli._odd_product_bits(n) == sum(k.bit_length() for k in range(1, 2 * n, 2))
-    # the estimate covers every integer the tries hold; it counts each
-    # node's keys exactly for star sums and from above for strict ones,
-    # and at small n a node's integer falls short of its denominator
-    for star, slack in ((False, 3.5), (True, 2.25)):
+    # each count the estimate prices, against the tries: the compositions
+    # exactly; the nodes exactly for star sums, whose tries (one per
+    # weight) also hold a denominator, and from above for strict ones; the
+    # bits from above, loosely for star sums, whose bound on M is loose at
+    # small n and half of whose nodes hold 0
+    for star, node_slack, bit_slack in ((False, 1.75, 3.5), (True, 1, 7.5)):
         for n_max, weight_max, depth_max in ((12, 6, 6), (14, 6, 3), (40, 8, 8), (30, 9, 4),
                                              (2, 4, 4), (3, 6, 6), (60, 7, 2), (200, 5, 5)):
-            exact, _ = _trie_state_bits(star, n_max, weight_max, depth_max)
-            estimate = cli._sweep_state_bytes(2, n_max, weight_max, depth_max, star)
-            assert exact // 8 <= estimate <= exact // 8 * slack, (star, n_max, weight_max)
+            bits, nodes, comps = _trie_state_bits(star, n_max, weight_max, depth_max)
+            nodes += weight_max * star
+            counted = cli._sweep_state(2, n_max, weight_max, depth_max, star)
+            assert counted[2] == comps, (star, n_max, weight_max)
+            assert nodes <= counted[1] <= nodes * node_slack, (star, n_max, weight_max)
+            assert bits <= counted[0] <= bits * bit_slack, (star, n_max, weight_max)
     # the trie node counts of the benchmark grid, against 1,024 fold levels
     assert [_trie_state_bits(star, 40, 8, 8)[1] - 8 for star in (False, True)] == [305, 502]
     # the benchmark grid and every grid the tests sweep fit with room to spare
     for star in (False, True):
-        for grid in ((2, 40, 8, 8), (2, 12, 6, 6), (-3, 4, 5, 5), (1, 14, 6, 6)):
+        for grid in ((2, 40, 8, 8), (2, 12, 6, 6), (-3, 4, 5, 5), (1, 14, 6, 6),
+                     (1990, 2000, 5, 5)):
             assert cli._sweep_state_bytes(*grid, star) < cli.SWEEP_STATE_LIMIT_BYTES // 100
         assert cli._sweep_state_bytes(13, 12, 6, 6, star) == 0
         assert cli._sweep_state_bytes(2, 12, 0, 0, star) == 0
+    # star tries hold residues below the product of their primes, so a star
+    # grid fits where its exact integers would not
+    assert cli._sweep_state_bytes(2, 1000, 14, 14, True) < cli.SWEEP_STATE_LIMIT_BYTES // 4
+
+
+@pytest.mark.parametrize("family", ["--strict", "--star"])
+def test_sweep_memory_estimate_bounds_the_footprint(family):
+    # the peak that tracemalloc sees during a sweep whose lines go to
+    # os.devnull, against the estimate; a first run warms the caches that
+    # outlive the call
+    for n_min, n_max, weight_max in ((2, 40, 8), (2, 300, 6)):
+        argv = ["sweep", "--n-min", str(n_min), "--n-max", str(n_max),
+                "--weight-max", str(weight_max), family]
+        with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+            assert main(argv) == 0
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        estimate = cli._sweep_state_bytes(n_min, n_max, weight_max, weight_max,
+                                          family == "--star")
+        assert peak <= estimate <= 2.5 * peak, (n_max, peak, estimate)
 
 
 def _star_sweeps():
@@ -418,10 +474,22 @@ def test_star_rule_one_fault_is_reported_exactly(capsys, monkeypatch):
     bertrand = primes.bertrand_prime
     monkeypatch.setattr("oddharmonic.primes.bertrand_prime",
                         lambda n: 5 if n == 12 else bertrand(n))
+    refolds = []
+
+    def spy(spec, trie, indices, skip, modulus=None):
+        refolds.append((len(indices), tuple(trie.entries[1:]), modulus))
+        return _fold(spec, trie, indices, skip, modulus)
+
+    monkeypatch.setattr("oddharmonic.certificates._fold", spy)
     code, out, err = run(capsys, "sweep", "--n-max", "12", "--weight-max", "4", "--star")
     assert (code, err) == (1, FAULT_STDERR)
     assert len(out.splitlines()) == 156
     assert hashlib.sha256(out.encode()).hexdigest() == FAULT_SHA256
+    # a row folds its chain again, once, modulo 5**e with e = 2 * weight,
+    # exactly when its numerator is 0 modulo 5: here, every row at n = 12
+    zeros = [(12, comp, 5 ** (2 * sum(comp))) for comp in compositions(4)
+             if next(harmonic_sum_pairs(STAR_ODD, comp, 12, 12))[0] % 5 == 0]
+    assert sorted(refolds) == sorted(zeros)
     # a prime above 2n leaves nothing negative to read
     monkeypatch.setattr("oddharmonic.primes.bertrand_prime",
                         lambda n: 29 if n == 12 else bertrand(n))
