@@ -23,9 +23,9 @@ cache elsewhere holds a Bertrand prime, a window prime or a rule-2 decision.
 `_Point.certify` returns in a `Certificate`; `sweep` makes one point per
 n and writes every row it built itself with `_Point.line`.  Both write
 through `_json_line`, the one writer of the JSON layout, and
-`Certificate.to_json` parses that line back.  Rule 4's reference bound
-depends on n only through n <= the window threshold of its depth, so it
-is cached per composition, together with its text.
+`Certificate.to_json` parses that line back.  Rule 4 makes its bound and
+its text once per reference, as they depend on n only through n <= the
+window threshold; rule 5 reads one tail pair at a time.
 
 The package reads a sum's valuation in one place, `_Point.valuation`,
 off the numerator x of the fold's pair, whose denominator has the
@@ -60,6 +60,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from . import primes
 from .exact import Record, int_valuation
@@ -155,17 +156,20 @@ class Certificate(Record):
                           self.prime, self.valuation, self.bound, self.best_effort)
 
 
-def _tail_pairs(n: int, tail: tuple[int, ...] | Composition) -> list[tuple[int, int]]:
+# The fold's unreduced (numerator, denominator) of one sum.
+Pair = tuple[int, int]
+
+
+def _tail_pairs(n: int, tail: tuple[int, ...] | Composition) -> Iterator[Pair]:
     """c[k] = sum over k < k_2 < ... < k_r <= n-1 of the tail factors, so
     that the full sum is sum over k of c[k] / (2k+1)**s_1, as unreduced
-    pairs for k = 0..n-r: c[k] is the strict odd sum of the reversed tail
-    over n-1, n-2, ..., k+1, so one fold from k = n-1 down gives them all.
+    pairs for k = n-r down to 0: c[k] is the strict odd sum of the reversed
+    tail over n-1, ..., k+1, so one fold from k = n-1 down yields them in turn.
     The tail is taken as checked: all-positive, of depth r-1 < n.
     """
-    r = len(tail) + 1
     chain = PrefixTrie.chain(STRICT_ODD, Composition(tuple(tail)[::-1]))
-    pairs = [(v[-1], den) for v, den in _fold(STRICT_ODD, chain, range(n - 1, 0, -1), r - 2)]
-    return pairs[::-1]
+    folds = _fold(STRICT_ODD, chain, range(n - 1, 0, -1), len(tail) - 1)
+    return ((v[-1], den) for v, den in folds)
 
 
 def leading_exponent_bound(n: int, tail: CompositionLike) -> int:
@@ -193,11 +197,11 @@ def _leading_exponent(n: int, tail: tuple[int, ...] | Composition) -> tuple[int,
     prime it was read at, which rule 5 writes, from one prime search."""
     p = primes.bertrand_prime(n - len(tail))
     vals = []
-    for num, den in _tail_pairs(n, tail):
+    for num, den in _tail_pairs(n, tail):  # one pair held at a time
         if num == 0:
             raise RuntimeError("unexpected zero coefficient")
         vals.append(int_valuation(num, p) - int_valuation(den, p))
-    v_ref = vals.pop((p - 1) // 2)
+    v_ref = vals.pop(n - len(tail) - 1 - (p - 1) // 2)  # k runs from n-r down
     return max(v_ref, v_ref - min(vals)), p
 
 
@@ -237,31 +241,27 @@ def depth_threshold_holds(n: int, r: int) -> bool:
     return True
 
 
-# The fold's unreduced (numerator, denominator) of one sum.
-Pair = tuple[int, int]
+@lru_cache(maxsize=None)
+def _reference(comp: tuple[int, ...]) -> tuple[Fraction, str]:
+    """One of rule 4's at most 19 references, with its text: the strict odd
+    sum of comp, or past depth 10 the ones-power bound, at the window
+    threshold of its depth."""
+    r = len(comp)
+    ref_n = primes.window_threshold(r)
+    bound = harmonic_sum(STRICT_ODD, ref_n, comp) if r <= 10 else ones_power_bound(ref_n, r)
+    return bound, str(bound)
 
 
 @lru_cache(maxsize=None)
-def _reference_sum(n: int, comp: tuple[int, ...]) -> Fraction:
-    return harmonic_sum(STRICT_ODD, n, comp)
-
-
-@lru_cache(maxsize=4096)
 def _magnitude_bound(comp: tuple[int, ...]) -> tuple[Fraction, str] | None:
-    """Rule 4: an exact reference bound < 1 on the sum of comp, of depth
-    2..17, at every n up to the window threshold of its depth, if one
-    applies, with its text, which every line certified by it writes.  The
-    bound is the reference sum at that threshold, so it depends on n only
-    through n <= threshold, which the caller checks."""
+    """Rule 4: the first reference of comp, of depth 2..17, whose bound is
+    < 1, if any: it bounds the sum of comp at every n up to the window
+    threshold of its depth, which the caller checks.  Each entry is its
+    reference's shared pair, or None."""
     r = len(comp)
-    ref_n = primes.window_threshold(r)
-    if r <= 4:
-        bounds = (_reference_sum(ref_n, comparator.indices)
-                  for comparator in _MAGNITUDE_COMPARATORS[r] if dominates(comp, comparator))
-    else:
-        bounds = (_reference_sum(ref_n, (1,) * r) if r <= 10 else ones_power_bound(ref_n, r),)
-    bound = next((bound for bound in bounds if bound < 1), None)
-    return None if bound is None else (bound, str(bound))
+    refs = ((comparator.indices for comparator in _MAGNITUDE_COMPARATORS[r]
+             if dominates(comp, comparator)) if r <= 4 else ((1,) * r,))
+    return next((ref for ref in map(_reference, refs) if ref[0] < 1), None)
 
 
 # Rules 2, 4 and 5 bound the sum without its value; it is recomputed as a
@@ -382,7 +382,7 @@ class _Point:
 
     def line(self, comp: Composition, value: Pair | None = None, a: int | None = None) -> str:
         """The JSON line of comp's certificate; a rule-4 line takes its
-        bound's text from `_magnitude_bound`, made once per composition."""
+        bound's text from `_magnitude_bound`, made once per reference."""
         kind, n, comp, rule_index, prime, valuation, bound, best_effort = self.certify(
             comp, value, a)
         if kind == MAGNITUDE_BOUND:
@@ -437,7 +437,7 @@ def decimal_bound_checks() -> list[BoundCheck]:
     checks = []
     for comp, threshold in _DECIMAL_THRESHOLDS.items():
         n = primes.window_threshold(len(comp))
-        value = _reference_sum(n, comp)
+        value = _reference(comp)[0]
         checks.append(BoundCheck(n=n, composition=comp, value=value,
                                  threshold=threshold, ok=value < threshold))
     return checks

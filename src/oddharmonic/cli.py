@@ -44,7 +44,7 @@ def _odd_spec(args) -> SumSpec:
     return STAR_ODD if args.ordering == "star" else STRICT_ODD
 
 
-def _add_spec_flags(parser, default_parity="odd"):
+def _add_spec_flags(parser):
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--star", dest="ordering", action="store_const",
                        const="star", help="weakly increasing indices")
@@ -56,7 +56,7 @@ def _add_spec_flags(parser, default_parity="odd"):
                        const="odd", help="denominators 2k+1")
     group.add_argument("--standard", dest="parity", action="store_const",
                        const="standard", help="denominators k")
-    parser.set_defaults(parity=default_parity)
+    parser.set_defaults(parity="odd")
 
 
 def _cmd_eval(args) -> int:

@@ -104,12 +104,10 @@ def _largest_prime(lo: int, hi: int) -> int | None:
     return None
 
 
-def _window(m: int, r: int, closed_open: bool = False) -> tuple[int, int]:
-    """The range [lo, hi] of p with r*p < m <= (r+1)*p, or with
-    r*p <= m < (r+1)*p when closed_open; the window inequality in one place."""
+def _window(m: int, r: int) -> tuple[int, int]:
+    """The range [lo, hi] of p with r*p < m <= (r+1)*p; the window
+    inequality in one place."""
     m, r = operator.index(m), operator.index(r)
-    if closed_open:
-        return m // (r + 1) + 1, m // r  # p*(r+1) > m, p*r <= m
     return -(-m // (r + 1)), (m - 1) // r  # p*(r+1) >= m, p*r < m
 
 

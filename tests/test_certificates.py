@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, starmap
 from pathlib import Path
@@ -22,6 +23,7 @@ from oddharmonic.certificates import (
     WINDOW_VALUATION,
     Certificate,
     _Point,
+    _leading_exponent,
     _tail_pairs,
     decimal_bound_checks,
     depth_threshold_holds,
@@ -191,8 +193,9 @@ def test_import_leaves_mpmath_unloaded():
 # -- tail coefficients and the leading-exponent bound ---------------------------
 
 def _tail_coefficients(n, tail):
-    """The reduced tail coefficients c[0..n-r] behind rule 5."""
-    return tuple(starmap(F, _tail_pairs(n, tail)))
+    """The reduced tail coefficients c[0..n-r] behind rule 5; the fold
+    makes them from k = n-r down."""
+    return tuple(starmap(F, _tail_pairs(n, tail)))[::-1]
 
 
 def _tail_coeff_brute(n, tail, k1):
@@ -238,6 +241,20 @@ def test_tail_coefficients_recompose_the_sum():
 def test_leading_exponent_bound_example():
     # n=3, tail (1): p=3, coefficients (8/15, 1/5); v_3(1/5)=0, v_3(8/15)=-1
     assert leading_exponent_bound(3, (1,)) == 1
+
+
+def test_leading_exponent_bound_at_large_n():
+    # rule 5 holds one tail pair at a time, so n = 4000 stays well under
+    # 1 MB, though all n pairs together come to about 26 MB
+    assert [leading_exponent_bound(n, tail) for n, tail in
+            ((500, (1,)), (1000, (1, 1)), (2000, (2, 1)), (4000, (1,)))] == [1, 1, 2, 1]
+    tracemalloc.start()
+    try:
+        assert _leading_exponent(4000, (1,)) == (1, bertrand_prime(3999))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_leading_exponent_bound_range_checks():

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from oddharmonic import cli, hyper, primes
+from oddharmonic import certificates, cli, hyper, primes
 from oddharmonic.certificates import (
     _Point,
     verify_odd_noninteger,
@@ -232,6 +232,20 @@ def test_large_n_sweep_digest(capsys, family, digest):
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 341
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_rule_4_caches_one_bound_per_reference(capsys):
+    # graded-lex order meets more than 4,096 rule-4 compositions per n
+    # here; each is looked up once, and its entry is the bound of one of
+    # at most 19 references
+    certificates._magnitude_bound.cache_clear()
+    code, out, err = run(capsys, "sweep", "--n-max", "40", "--weight-max", "13", "--strict")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "31a5d4d3948401728fcb11b0fb8c3dcbae43424645ca563e290137d76d2019fb")
+    info = certificates._magnitude_bound.cache_info()
+    assert info.misses == info.currsize > 4096
+    assert certificates._reference.cache_info().currsize <= 19
 
 
 VERIFIERS = {"--strict": verify_odd_noninteger, "--star": verify_star_noninteger}
