@@ -36,10 +36,10 @@ final check num % den == 0 needs no gcd either.  A star `sweep` row is
 decided by rule 1 alone, which needs only num % p, so it hands over a
 residue modulo a product of Bertrand primes, a = 1.  A zero residue with
 a < e is read again from the chain folded modulo p**e, so a failed law
-reports its exact valuation.  The primes come from the prime searches
-in `primes`, so no reading tests primality again.  Whenever the exact
-value is cheap enough to recompute, the engine checks non-integrality
-directly for the bound rules (2, 4 and 5) as well.
+reports its exact valuation.  The primes come from the prime searches,
+so no reading tests primality again.  Where the value is cheap, rules
+2, 4 and 5 check that it is not an integer too.  Every fold of one sum
+here, modulo p**e, exact or of rule 5's reversed tail, is `_chain`.
 
 A caution on rule 3: at depth >= 2 a window prime p divides only
 ceil(r/2) of the odd numbers below 2n (even multiples of p are never odd
@@ -60,7 +60,6 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 from . import primes
 from .exact import Record, int_valuation
@@ -69,13 +68,11 @@ from .sums import (
     CompositionLike,
     STRICT_ODD,
     STAR_ODD,
-    PrefixTrie,
     SumSpec,
+    _chain,
     _den_valuation,
-    _fold,
     dominates,
     harmonic_sum,
-    harmonic_sum_pairs,
     ones_power_bound,
 )
 
@@ -160,18 +157,6 @@ class Certificate(Record):
 Pair = tuple[int, int]
 
 
-def _tail_pairs(n: int, tail: tuple[int, ...] | Composition) -> Iterator[Pair]:
-    """c[k] = sum over k < k_2 < ... < k_r <= n-1 of the tail factors, so
-    that the full sum is sum over k of c[k] / (2k+1)**s_1, as unreduced
-    pairs for k = n-r down to 0: c[k] is the strict odd sum of the reversed
-    tail over n-1, ..., k+1, so one fold from k = n-1 down yields them in turn.
-    The tail is taken as checked: all-positive, of depth r-1 < n.
-    """
-    chain = PrefixTrie.chain(STRICT_ODD, Composition(tuple(tail)[::-1]))
-    folds = _fold(STRICT_ODD, chain, range(n - 1, 0, -1), len(tail) - 1)
-    return ((v[-1], den) for v, den in folds)
-
-
 def leading_exponent_bound(n: int, tail: CompositionLike) -> int:
     """Threshold N: any first exponent above N makes the sum non-integral.
 
@@ -194,14 +179,18 @@ def leading_exponent_bound(n: int, tail: CompositionLike) -> int:
 
 def _leading_exponent(n: int, tail: tuple[int, ...] | Composition) -> tuple[int, int]:
     """(N, p): `leading_exponent_bound` of a checked tail and the Bertrand
-    prime it was read at, which rule 5 writes, from one prime search."""
+    prime it was read at, which rule 5 writes, from one prime search.
+    The sum is sum over k of c[k] / (2k+1)**s_1, and c[k], the sum over
+    k < k_2 < ... < k_r <= n-1 of the tail factors, is the strict odd sum
+    of the reversed tail over n-1, ..., k+1: one chain folded from k = n-1
+    down yields c[k] for k = n-r down to 0, one pair at a time."""
     p = primes.bertrand_prime(n - len(tail))
-    vals = []
-    for num, den in _tail_pairs(n, tail):  # one pair held at a time
+    vals, tail = [], Composition(tuple(tail)[::-1])
+    for num, den in _chain(STRICT_ODD, tail, range(n - 1, 0, -1), tail.depth - 1):
         if num == 0:
             raise RuntimeError("unexpected zero coefficient")
         vals.append(int_valuation(num, p) - int_valuation(den, p))
-    v_ref = vals.pop(n - len(tail) - 1 - (p - 1) // 2)  # k runs from n-r down
+    v_ref = vals.pop(n - tail.depth - 1 - (p - 1) // 2)  # k runs from n-r down
     return max(v_ref, v_ref - min(vals)), p
 
 
@@ -305,8 +294,7 @@ class _Point:
             powers = self._powers[at] = e, p ** e
         e, pe = powers
         if value is None:
-            chain = PrefixTrie.chain(self.spec, comp)
-            x = next(_fold(self.spec, chain, range(self.n), self.n - 1, pe))[0][-1]
+            x = next(_chain(self.spec, comp, range(self.n), self.n - 1, pe))[0]
         elif a is None or a >= e:
             x = value[0] % pe
         elif not (x := value[0] % p ** a):
@@ -374,7 +362,7 @@ class _Point:
 
         # Rule 6 is this check; for rules 2, 4 and 5 it is a cross-check.
         if fields[0] == DIRECT_NON_INTEGER or n * r <= _VALUE_CHECK_LIMIT:
-            num, den = next(harmonic_sum_pairs(STRICT_ODD, comp, n, n)) if value is None else value
+            num, den = next(_chain(self.spec, comp, range(n), n - 1)) if value is None else value
             if num % den == 0:
                 raise RuntimeError(f"integer value {num // den} at n={n}, comp={comp} "
                                    f"contradicts {fields[0]} certificate")

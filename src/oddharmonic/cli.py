@@ -11,6 +11,7 @@ import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 
 from . import hyper, primes
 from .certificates import (
@@ -85,10 +86,10 @@ def _cmd_verify(args) -> int:
 SWEEP_STATE_LIMIT_BYTES = 256 << 20
 
 # Bytes that `sweep` holds beside its integers' digits, measured with
-# tracemalloc and rounded up: per trie node (its trie entries and index
-# key, its fold step and its integer's header) and per composition (its
-# Composition and its row).
-_NODE_BYTES, _COMPOSITION_BYTES = 320, 1100
+# tracemalloc and rounded up: per trie node (its trie entries, index key,
+# fold step and integer header), per composition (its Composition and row),
+# and once (its loop, and up to 8 KiB of lines held by stdout's text layer).
+_NODE_BYTES, _COMPOSITION_BYTES, _SWEEP_BYTES = 320, 1100, 30 << 10
 
 
 def _odd_product_bits(n: int) -> int:
@@ -104,10 +105,17 @@ def _odd_product_bits(n: int) -> int:
 
 def _sweep_state_bytes(n_min: int, n_max: int, weight_max: int, depth_max: int,
                        star: bool) -> int:
-    """Estimated bytes the sweep holds at n_max: its tries' integers, at 4
-    bytes per 30 bits as CPython stores them, and the overheads above."""
+    """Estimated bytes the sweep holds at n_max, 0 for an empty grid: the
+    overheads above, and at 4 bytes per 30 bits its tries' integers and
+    the fold's temporaries: a strict trie of key m keeps a product of m
+    keys' worth, and a step or value check makes three of weight_max keys'
+    worth; a star sweep holds M and three products, a node's worth each."""
     bits, nodes, comps = _sweep_state(n_min, n_max, weight_max, depth_max, star)
-    return bits * 4 // 30 + nodes * _NODE_BYTES + comps * _COMPOSITION_BYTES
+    if not comps:
+        return 0
+    bits += 4 * (bits // nodes) if star else (
+        weight_max * (weight_max + 7) // 2 * _odd_product_bits(n_max))
+    return bits * 4 // 30 + nodes * _NODE_BYTES + comps * _COMPOSITION_BYTES + _SWEEP_BYTES
 
 
 def _sweep_state(n_min: int, n_max: int, weight_max: int, depth_max: int,
@@ -184,15 +192,15 @@ def _cmd_sweep(args) -> int:
     # its node's (num, den) pair and written from the certificate's fields:
     # no Fraction and no Certificate is built.  A star row is decided by
     # rule 1 alone, from num modulo its Bertrand prime p, so the star tries
-    # fold modulo M, the product of the points' own primes: each node then
-    # holds a residue below M, which gives num modulo p (a = 1) at every n.
-    # Strict rows may need num modulo higher powers, or the value, so
-    # their tries fold exactly.
+    # fold modulo M, the product of the points' own primes (one per run, as
+    # bertrand_prime is nondecreasing in n): each node then holds a residue
+    # below M, giving num modulo p (a = 1) at every n.  Strict rows may
+    # need num modulo higher powers, or the value, so they fold exactly.
     tries, rows = _sweep_grid(spec, n_lo, args.weight_max, min(depth_max, args.n_max))
     modulus = a = None
     if spec.star:
         bertrand = map(primes.bertrand_prime, range(max(n_lo, 2), args.n_max + 1))
-        modulus, a = math.prod(set(bertrand)), 1
+        modulus, a = math.prod(p for p, _ in groupby(bertrand)), 1
     folds = [_fold(spec, trie, range(args.n_max), n_lo - 1, modulus) for trie in tries]
     write, failures = sys.stdout.write, 0
     for point in (_Point(spec, n) for n in range(n_lo, args.n_max + 1)):

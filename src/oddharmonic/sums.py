@@ -12,17 +12,17 @@ parent, and each step is one multiply-add per node by small powers of
 base(k) (star sums keep their numerators rescaled by a power of base(k)
 for this), so no step needs a gcd or a division, and each node's state
 comes out as an unreduced integer pair.  A single composition is a
-chain, and `sweep` folds one trie per key for a whole grid, so a prefix
-shared by many compositions is folded once.  Folded over k = 0..n-1,
-the state after index k-1 is the sum at n = k: `harmonic_sum_pairs`
-yields those at n_min..n_max as they come, `harmonic_sum_prefixes`
-reduces them to Fractions and `harmonic_sum` is its value at n.  Rule
-5 of the certificates folds a reversed tail from k = n-1 down.  Folded
-modulo an integer, the same loop gives residues instead of values:
-modulo a prime power it gives the valuations that the certificates read
-(`certificates._Point.valuation`), and `sweep --star` folds its tries
-modulo the product of its Bertrand primes.  Nothing is cached.  The
-brute-force enumerator is an independent oracle.
+chain, and `_chain` is every fold of one sum, here and in the
+certificates; `sweep` folds one trie per key for a whole grid, so a
+prefix shared by many compositions is folded once.  Folded over k =
+0..n-1, the state after index k-1 is the sum at n = k:
+`harmonic_sum_pairs` yields those at n_min..n_max as they come,
+`harmonic_sum_prefixes` reduces them to Fractions and `harmonic_sum` is
+its value at n; rule 5 folds a reversed tail from k = n-1 down.  Folded
+modulo an integer, the loop gives residues: modulo a prime power the
+valuations that `certificates._Point.valuation` reads, and modulo the
+product of its Bertrand primes the tries of `sweep --star`.  Nothing is
+cached.  The brute-force enumerator is an independent oracle.
 """
 
 from __future__ import annotations
@@ -169,8 +169,7 @@ def harmonic_sum_pairs(spec: SumSpec, comp: CompositionLike,
     n_min, n_max = spec.validate(n_min, comp), operator.index(n_max)
     if n_max < n_min:
         raise ValueError(f"need n_min <= n_max, got {n_min} > {n_max}")
-    trie = PrefixTrie.chain(spec, comp)
-    return ((v[-1], den) for v, den in _fold(spec, trie, range(n_max), n_min - 1))
+    return _chain(spec, comp, range(n_max), n_min - 1)
 
 
 class PrefixTrie:
@@ -179,7 +178,7 @@ class PrefixTrie:
     Node 0 is the empty prefix; node i > 0 adds entries[i] to its parent
     parents[i] < i.  Every composition in a trie shares its key, the
     power the fold scales by: max|s| for strict sums, the weight W for
-    star sums (`key_of`).  A single composition is a chain, 0 - 1 - ... - r.
+    star sums (`key_of`).
     """
 
     def __init__(self, key: int):
@@ -191,12 +190,6 @@ class PrefixTrie:
     @staticmethod
     def key_of(spec: SumSpec, comp: Composition) -> int:
         return comp.weight if spec.star else max(comp.magnitudes())
-
-    @classmethod
-    def chain(cls, spec: SumSpec, comp: Composition) -> "PrefixTrie":
-        trie = cls(cls.key_of(spec, comp))
-        trie.add(comp)
-        return trie
 
     def add(self, comp: Composition) -> int:
         """The node of comp, made with any of its prefixes still missing."""
@@ -270,6 +263,16 @@ def _fold(spec: SumSpec, trie: PrefixTrie, indices: Iterable[int],
                 v[i] %= modulus
         if at >= skip:
             yield v, v[0] * base ** key if star else v[0]
+
+
+def _chain(spec: SumSpec, comp: Composition, indices: Iterable[int], skip: int,
+           modulus: int | None = None) -> Iterator[tuple[int, int]]:
+    """The fold of comp alone, whose trie is a chain 0 - 1 - ... - r: the
+    pair (num, den) of its last node after each index past the first
+    `skip`, as `_fold` makes it.  Nothing is checked."""
+    trie = PrefixTrie(PrefixTrie.key_of(spec, comp))
+    trie.add(comp)
+    return ((v[-1], den) for v, den in _fold(spec, trie, indices, skip, modulus))
 
 
 def _den_valuation(spec: SumSpec, n: int, comp: Composition, p: int) -> int:

@@ -24,7 +24,6 @@ from oddharmonic.certificates import (
     Certificate,
     _Point,
     _leading_exponent,
-    _tail_pairs,
     decimal_bound_checks,
     depth_threshold_holds,
     leading_exponent_bound,
@@ -38,6 +37,7 @@ from oddharmonic.sums import (
     STRICT_ODD,
     Composition,
     PrefixTrie,
+    _chain,
     _den_valuation,
     compositions,
     harmonic_sum,
@@ -193,9 +193,10 @@ def test_import_leaves_mpmath_unloaded():
 # -- tail coefficients and the leading-exponent bound ---------------------------
 
 def _tail_coefficients(n, tail):
-    """The reduced tail coefficients c[0..n-r] behind rule 5; the fold
-    makes them from k = n-r down."""
-    return tuple(starmap(F, _tail_pairs(n, tail)))[::-1]
+    """The reduced tail coefficients c[0..n-r] behind rule 5: the reversed
+    tail's chain folded from k = n-1 down makes them from k = n-r down."""
+    folds = _chain(STRICT_ODD, Composition(tail[::-1]), range(n - 1, 0, -1), len(tail) - 1)
+    return tuple(starmap(F, folds))[::-1]
 
 
 def _tail_coeff_brute(n, tail, k1):
@@ -385,6 +386,40 @@ def test_verify_takes_no_value():
         for value in (Fraction(1, 3), 1, (1, 3)):
             with pytest.raises(TypeError):
                 verifier(9, (2,), value=value)
+
+
+def test_each_certificate_kind_folds_its_own_chains(monkeypatch):
+    # every fold of one sum the cascade makes, as (spec, chain, indices,
+    # skip, modulus): rules 1 and 3 fold modulo p**e, rule 5 folds the
+    # reversed tail from k = n-1 down, the value check folds exactly.  At
+    # n = 26 the window prime 23 certifies nothing, so the chain is folded
+    # twice, once modulo 23 and once exactly.
+    calls = []
+
+    def spy(spec, comp, indices, skip, modulus=None):
+        calls.append((spec, comp.indices, indices, skip, modulus))
+        return _chain(spec, comp, indices, skip, modulus)
+
+    monkeypatch.setattr("oddharmonic.certificates._chain", spy)
+    cases = [
+        (verify_odd_noninteger, 26, (1, 1), DIRECT_NON_INTEGER,
+         [(STRICT_ODD, (1, 1), range(26), 25, 23), (STRICT_ODD, (1,), range(25, 0, -1), 0, None),
+          (STRICT_ODD, (1, 1), range(26), 25, None)]),
+        (verify_star_noninteger, 12, (1, 1), STAR_VALUATION,
+         [(STAR_ODD, (1, 1), range(12), 11, 23 ** 2)]),
+        (verify_odd_noninteger, 12, (1, 1), WINDOW_VALUATION,
+         [(STRICT_ODD, (1, 1), range(12), 11, 11)]),
+        (verify_odd_noninteger, 17, (2, 1, 1), LARGE_S1_BOUND,
+         [(STRICT_ODD, (2, 1, 1), range(17), 16, 11 ** 4),
+          (STRICT_ODD, (1, 1), range(16, 0, -1), 1, None),
+          (STRICT_ODD, (2, 1, 1), range(17), 16, None)]),
+        (verify_odd_noninteger, 5, (1, 2), MAGNITUDE_BOUND,
+         [(STRICT_ODD, (1, 2), range(5), 4, None)]),
+    ]
+    for verifier, n, comp, kind, folds in cases:
+        calls.clear()
+        assert verifier(n, comp).kind == kind
+        assert calls == folds, (n, comp)
 
 
 def _grid_cases():

@@ -23,6 +23,7 @@ from oddharmonic.sums import (
     STAR_ODD,
     STRICT_ODD,
     STRICT_STANDARD,
+    _chain,
     _fold,
     compositions,
     harmonic_sum,
@@ -396,7 +397,7 @@ def test_sweep_memory_estimate_bounds_the_footprint(family):
     # the peak that tracemalloc sees during a sweep whose lines go to
     # os.devnull, against the estimate; a first run warms the caches that
     # outlive the call
-    for n_min, n_max, weight_max in ((2, 40, 8), (2, 300, 6)):
+    for n_min, n_max, weight_max in ((2, 40, 8), (2, 300, 6), (2, 2000, 2)):
         argv = ["sweep", "--n-min", str(n_min), "--n-max", str(n_max),
                 "--weight-max", str(weight_max), family]
         with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
@@ -490,11 +491,11 @@ def test_star_rule_one_fault_is_reported_exactly(capsys, monkeypatch):
                         lambda n: 5 if n == 12 else bertrand(n))
     refolds = []
 
-    def spy(spec, trie, indices, skip, modulus=None):
-        refolds.append((len(indices), tuple(trie.entries[1:]), modulus))
-        return _fold(spec, trie, indices, skip, modulus)
+    def spy(spec, comp, indices, skip, modulus=None):
+        refolds.append((len(indices), comp.indices, modulus))
+        return _chain(spec, comp, indices, skip, modulus)
 
-    monkeypatch.setattr("oddharmonic.certificates._fold", spy)
+    monkeypatch.setattr("oddharmonic.certificates._chain", spy)
     code, out, err = run(capsys, "sweep", "--n-max", "12", "--weight-max", "4", "--star")
     assert (code, err) == (1, FAULT_STDERR)
     assert len(out.splitlines()) == 156

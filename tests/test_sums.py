@@ -19,6 +19,7 @@ from oddharmonic.sums import (
     STRICT_STANDARD,
     SumSpec,
     WorkLimitExceeded,
+    _chain,
     _den_valuation,
     _fold,
     compositions,
@@ -362,8 +363,7 @@ def _signed_grid(weight_max):
 
 
 def _chain_pairs(spec, comp, indices, skip=0, modulus=None):
-    return [(v[-1], den) for v, den in
-            _fold(spec, PrefixTrie.chain(spec, comp), indices, skip, modulus)]
+    return list(_chain(spec, comp, indices, skip, modulus))
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.ordering}-{s.parity}")
@@ -420,7 +420,8 @@ def test_trie_key_and_chain_shape():
     comp = Composition((2, -3, 1))
     assert PrefixTrie.key_of(STRICT_ODD, comp) == 3
     assert PrefixTrie.key_of(STAR_ODD, comp) == 6
-    chain = PrefixTrie.chain(STAR_ODD, comp)
+    chain = PrefixTrie(6)
+    assert chain.add(comp) == 3
     assert (chain.key, chain.parents, chain.entries) == (6, [0, 0, 1, 2], [0, 2, -3, 1])
 
 
