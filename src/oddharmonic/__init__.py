@@ -8,7 +8,6 @@ sums.  The `oddharmonic` console script exposes all of it.
 """
 
 from .certificates import (
-    BoundCheck,
     Certificate,
     decimal_bound_checks,
     depth_threshold_holds,
@@ -36,8 +35,6 @@ from .hyper import (
     pfq_rows,
 )
 from .primes import (
-    Sieve,
-    WindowReport,
     bertrand_prime,
     is_prime,
     window_prime,

@@ -425,8 +425,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined_lists(argv: list[str]) -> list[str]:
+    """argv with "--comp -1,2" written as "--comp=-1,2", and so for
+    --x-list.  argparse (in Python 3.10 to 3.13.0 at least) reads a word
+    that starts with "-" as an option unless all of it is one negative
+    number, so "--comp -1,2" would lack its value."""
+    out: list[str] = []
+    for word in argv:
+        if out and out[-1] in ("--comp", "--x-list") and word[:1] == "-" and word[1:2].isdigit():
+            out[-1] += f"={word}"
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_joined_lists(sys.argv[1:] if argv is None else argv))
     # Exact values and bounds can run past the interpreter's default limit
     # on int-to-decimal conversion; lift it for this call only.
     saved_limit = sys.get_int_max_str_digits()

@@ -16,9 +16,13 @@ chain, and `_chain` is every fold of one sum, here and in the
 certificates; `sweep` folds one trie per key for a whole grid, so a
 prefix shared by many compositions is folded once.  Folded over k =
 0..n-1, the state after index k-1 is the sum at n = k:
-`harmonic_sum_pairs` yields those at n_min..n_max as they come,
-`harmonic_sum_prefixes` reduces them to Fractions and `harmonic_sum` is
-its value at n; rule 5 folds a reversed tail from k = n-1 down.  Folded
+`harmonic_sum_pairs` yields those at n_min..n_max as they come, as
+unreduced pairs, and so do the certificates' folds, whose valuations
+need the closed-form denominator; rule 5 folds a reversed tail from k =
+n-1 down.  `harmonic_sum_prefixes`, and with it `harmonic_sum` (its
+value at n), wants only Fractions, so its fold also divides the whole
+state by its gcd at a few checkpoints, n/2, n/4, ... down to 64 indices
+(the content step): the ratios stay, the integers shrink.  Folded
 modulo an integer, the loop gives residues: modulo a prime power the
 valuations that `certificates._Point.valuation` reads, and modulo the
 product of its Bertrand primes the tries of `sweep --star`.  Nothing is
@@ -150,9 +154,11 @@ def harmonic_sum(spec: SumSpec, n: int, comp: CompositionLike) -> Fraction:
 
 def harmonic_sum_prefixes(spec: SumSpec, comp: CompositionLike,
                           n_min: int, n_max: int) -> Iterator[Fraction]:
-    """harmonic_sum(spec, n, comp) for n = n_min..n_max, lazily: the
-    pairs of `harmonic_sum_pairs`, each reduced to a Fraction."""
-    return starmap(Fraction, harmonic_sum_pairs(spec, comp, n_min, n_max))
+    """harmonic_sum(spec, n, comp) for n = n_min..n_max, lazily, each a
+    Fraction, from one fold up to n_max that sheds its state's common
+    factor on the way (`_fold`'s content step).  The arguments are
+    checked at the call, as for `harmonic_sum_pairs`."""
+    return starmap(Fraction, _sum_chain(spec, comp, n_min, n_max, content=True))
 
 
 def harmonic_sum_pairs(spec: SumSpec, comp: CompositionLike,
@@ -165,11 +171,17 @@ def harmonic_sum_pairs(spec: SumSpec, comp: CompositionLike,
     read the same off the pair as off the reduced value, without a gcd.
     The arguments are checked at the call: depth <= n_min <= n_max.
     """
+    return _sum_chain(spec, comp, n_min, n_max)
+
+
+def _sum_chain(spec: SumSpec, comp: CompositionLike, n_min: int, n_max: int,
+               content: bool = False) -> Iterator[tuple[int, int]]:
+    """The checked chain of comp folded over k = 0..n_max-1, from n_min."""
     comp = Composition.coerce(comp)
     n_min, n_max = spec.validate(n_min, comp), operator.index(n_max)
     if n_max < n_min:
         raise ValueError(f"need n_min <= n_max, got {n_min} > {n_max}")
-    return _chain(spec, comp, range(n_max), n_min - 1)
+    return _chain(spec, comp, range(n_max), n_min - 1, content=content)
 
 
 class PrefixTrie:
@@ -204,8 +216,13 @@ class PrefixTrie:
         return node
 
 
-def _fold(spec: SumSpec, trie: PrefixTrie, indices: Iterable[int],
-          skip: int, modulus: int | None = None) -> Iterator[tuple[list[int], int]]:
+# A content step runs after len(indices) // 2, // 4, ... indices while
+# that is at least this many; a shorter fold never runs a gcd.
+_CONTENT_MIN = 64
+
+
+def _fold(spec: SumSpec, trie: PrefixTrie, indices: Iterable[int], skip: int,
+          modulus: int | None = None, content: bool = False) -> Iterator[tuple[list[int], int]]:
     """Fold a trie over the summation indices in the order given: after
     index k, v[i] / den is the sum over node i's prefix with every index
     among those folded so far, the earlier ones taking the earlier
@@ -229,6 +246,15 @@ def _fold(spec: SumSpec, trie: PrefixTrie, indices: Iterable[int],
     With a modulus, every v[i] is reduced modulo it after each index.
     The fold only multiplies and adds, so the pair yielded is then
     congruent to the unreduced one: residues, not a value.
+
+    With content (exact folds only; indices must have a length), the
+    content step divides the whole of v by g, the gcd of all its entries,
+    after len(indices) // 2, // 4, ... indices, while at least _CONTENT_MIN.
+    Each step is linear and homogeneous in v (star's b' lives outside
+    it), so v / g folds on to the same ratios on shorter integers; the
+    pairs yielded are then no longer the unreduced ones, and their
+    denominator loses its closed-form valuation.  Only the Fraction path
+    asks for it.
     """
     star, odd, key = spec.star, spec.odd, trie.key
     parents, entries = trie.parents, trie.entries
@@ -242,6 +268,10 @@ def _fold(spec: SumSpec, trie: PrefixTrie, indices: Iterable[int],
     else:     # (node, parent, key - |s|, alternating), deepest first
         steps = [(i, parents[i], key - abs(entries[i]), entries[i] < 0)
                  for i in reversed(nodes)]
+    checks, m = set(), len(indices) // 2 if content else 0
+    while m >= _CONTENT_MIN:
+        checks.add(m)
+        m //= 2
     v = [1] + [0] * len(nodes)
     for at, k in enumerate(indices):
         base = 2 * k + 1 if odd else k + 1
@@ -261,18 +291,20 @@ def _fold(spec: SumSpec, trie: PrefixTrie, indices: Iterable[int],
         if modulus:
             for i in range(len(v)):
                 v[i] %= modulus
+        elif at + 1 in checks and (g := math.gcd(*v)) > 1:
+            v = [x // g for x in v]
         if at >= skip:
             yield v, v[0] * base ** key if star else v[0]
 
 
 def _chain(spec: SumSpec, comp: Composition, indices: Iterable[int], skip: int,
-           modulus: int | None = None) -> Iterator[tuple[int, int]]:
+           modulus: int | None = None, content: bool = False) -> Iterator[tuple[int, int]]:
     """The fold of comp alone, whose trie is a chain 0 - 1 - ... - r: the
     pair (num, den) of its last node after each index past the first
     `skip`, as `_fold` makes it.  Nothing is checked."""
     trie = PrefixTrie(PrefixTrie.key_of(spec, comp))
     trie.add(comp)
-    return ((v[-1], den) for v, den in _fold(spec, trie, indices, skip, modulus))
+    return ((v[-1], den) for v, den in _fold(spec, trie, indices, skip, modulus, content))
 
 
 def _den_valuation(spec: SumSpec, n: int, comp: Composition, p: int) -> int:

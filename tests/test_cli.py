@@ -76,6 +76,34 @@ def test_eval_usage_errors(capsys):
     assert code == 2
 
 
+def test_leading_negative_entry_is_the_value_of_its_flag(capsys):
+    # argparse alone would read "-1,2" as an option and exit 2
+    joined = run(capsys, "eval", "--n", "5", "--comp=-1,2")
+    assert joined == (0, "48938/297675\n", "")
+    assert run(capsys, "eval", "--n", "5", "--comp", "-1,2") == joined
+    assert run(capsys, "verify", "--n", "5", "--comp", "-1,2") == (
+        2, "", "error: integrality certificates cover all-positive compositions\n")
+    args = "identity-check", "powersum", "--n-max", "1", "--s-max", "1", "--x-list"
+    code, out, err = run(capsys, *args, "-1/2,3")
+    assert (code, out.splitlines()[1].split(",")[4], err) == (0, "-1/2", "")
+
+
+# (argv, sha256 of stdout, bytes): exact values whose folds take content steps
+EVAL_DIGESTS = [
+    (("--n", "2000", "--comp", "2,1", "--star"),
+     "6771302291b204811da726996f1bd45e5a97b7ccf3a3e9f4e83d938c78535726", 10_368),
+    (("--n", "5000", "--comp", "1"),
+     "c197442714c9e2411959e5930a0798fe40300d6f185dcd8566bc8090c841d3f5", 8_691),
+]
+
+
+@pytest.mark.parametrize("argv, digest, size", EVAL_DIGESTS)
+def test_eval_output_digest(capsys, argv, digest, size):
+    code, out, _ = run(capsys, "eval", *argv)
+    assert code == 0 and len(out.encode()) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_values_past_the_int_digit_limit(capsys):
     # Both outputs run past the interpreter's default 4300-digit limit on
     # int-to-decimal conversion; the CLI lifts it for the call only.

@@ -298,6 +298,52 @@ def test_n_2000_modulo_a_61_bit_prime(spec, comp):
     assert residue == _sum_mod_p61(spec, 2000, comp)
 
 
+# -- the value path: content steps --------------------------------------------
+
+def _value_grid(spec, weight_max):
+    """The signed grid's compositions that spec evaluates."""
+    return [c for c in _signed_grid(weight_max) if spec.odd or c.all_positive or c.depth == 1]
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.ordering}-{s.parity}")
+def test_value_path_equals_the_unreduced_pairs(spec):
+    # folds of 128..300 indices take content steps after 64..150 of them;
+    # the Fractions must equal the unreduced pairs' at every n, before and
+    # after each step
+    for comp in _value_grid(spec, 6)[::5]:
+        for n in (127, 128, 129, 257, 300):
+            assert harmonic_sum(spec, n, comp) == F(
+                *next(harmonic_sum_pairs(spec, comp, n, n))), (comp, n)
+        assert list(harmonic_sum_prefixes(spec, comp, 140, 300)) == [
+            F(*pair) for pair in harmonic_sum_pairs(spec, comp, 140, 300)], comp
+
+
+# the compositions of the large_n benchmark's harmonic_sum items at n =
+# 2000, and depth one at n = 5000
+LARGE_N_VALUES = [(STRICT_ODD, c, 2000) for c in ((1, 2), (2, 1), (1, 1, 2), (2, 1, 1),
+                                                  (-1, 2), (2, -1), (-1, 1, -2))] + [
+    (STAR_ODD, c, 2000) for c in ((1, 2), (2, 1), (1, 2, 1), (2, 1, 1))] + [
+    (STRICT_ODD, (1,), 5000), (STRICT_ODD, (-1,), 5000), (STAR_ODD, (2,), 5000),
+    (STRICT_STANDARD, (1,), 5000)]
+
+
+@pytest.mark.parametrize("spec, comp, n", LARGE_N_VALUES)
+def test_value_path_at_large_n(spec, comp, n):
+    assert harmonic_sum(spec, n, comp) == F(*next(harmonic_sum_pairs(spec, comp, n, n)))
+
+
+@pytest.mark.parametrize("spec, comp", [(STRICT_ODD, (1, 2)), (STAR_ODD, (2, 1))])
+def test_content_step_fires_from_128_indices(spec, comp):
+    def last(n, content):
+        return next(_chain(spec, Composition(comp), range(n), n - 1, content=content))
+    # 127 // 2 is below 64: no step, the very integers of the unreduced fold
+    assert last(127, True) == last(127, False)
+    assert last(128, True) != last(128, False)
+    reduced, unreduced = last(1000, True), last(1000, False)
+    assert F(*reduced) == F(*unreduced)
+    assert reduced[1].bit_length() < unreduced[1].bit_length()
+
+
 def test_large_sum_leaves_no_memory_behind():
     # a per-entry row cache would keep megabytes per call at this size
     gc.collect()
