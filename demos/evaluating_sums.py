@@ -26,7 +26,7 @@ for comp in ((-1,), (1, -2), (-1, -1, 2)):
     value = harmonic_sum(STRICT_ODD, n, comp)
     print(f"  strict/odd {str(comp):<12} -> {value}")
 
-print("\nThe dynamic program agrees with direct enumeration:")
+print("\nThe integer fold agrees with direct enumeration:")
 for spec in (STRICT_ODD, STAR_ODD):
     comp = (1, -2, 1)
     fast = harmonic_sum(spec, n, comp)

@@ -27,19 +27,26 @@ through `_json_line`, the one writer of the JSON layout, and
 its text once per reference, as they depend on n only through n <= the
 window threshold; rule 5 reads one tail pair at a time.
 
-The package reads a sum's valuation in one place, `_Point.valuation`,
-off the numerator x of the fold's pair, whose denominator has the
-closed-form valuation e, with x known modulo p**a.  Given no value, as
-from `verify_*`, it folds the chain modulo p**e itself, so a = e.  A
+Every valuation here is read one way: off the numerator x of a fold's
+unreduced pair, whose denominator has a valuation e known in closed
+form, with x known modulo p**a; no denominator's valuation is taken.
+`_Point.valuation` reads the sum's, for rules 1 and 3.  Given no value,
+as from `verify_*`, it folds the chain modulo p**e itself, so a = e.  A
 strict `sweep` row hands over the exact unreduced pair, on which the
 final check num % den == 0 needs no gcd either.  A star `sweep` row is
 decided by rule 1 alone, which needs only num % p, so it hands over a
 residue modulo a product of Bertrand primes, a = 1.  A zero residue with
 a < e is read again from the chain folded modulo p**e, so a failed law
-reports its exact valuation.  The primes come from the prime searches,
-so no reading tests primality again.  Where the value is cheap, rules
-2, 4 and 5 check that it is not an integer too.  Every fold of one sum
-here, modulo p**e, exact or of rule 5's reversed tail, is `_chain`.
+reports its exact valuation.  Rule 5 reads its tail coefficients the
+same way, in `_leading_exponent`, modulo p**(e+s1) for the first exponent
+s1 it compares with; a zero residue there stands for a valuation >= s1,
+which decides the same.  The primes come from the prime searches, so no
+reading tests primality again.  Where the value is cheap, rules 2, 4
+and 5 check that it is not an integer too, and rule 6 is that check; a
+`verify_*` value check folds with the content step, as num % den reads
+the same once both lose their common factor.  Every fold of one sum
+here, modulo p**e, modulo p**(e+s1) for rule 5's reversed tail, or
+exact, is `_chain`.
 
 A caution on rule 3: at depth >= 2 a window prime p divides only
 ceil(r/2) of the odd numbers below 2n (even multiples of p are never odd
@@ -165,8 +172,8 @@ def leading_exponent_bound(n: int, tail: CompositionLike) -> int:
     position >= (p-1)/2, so the p-part of the term at p is isolated once
     the first exponent clears the coefficient valuations.  N = max(v, v -
     min over other coefficients) where v is the valuation of the
-    coefficient at position (p-1)/2.  Each valuation is taken on the
-    unreduced pair, numerator minus denominator.
+    coefficient at position (p-1)/2.  Each valuation is read off the
+    exact fold: its numerator's, minus its denominator's in closed form.
     """
     tail = Composition.coerce(tail)
     r = tail.depth + 1
@@ -174,23 +181,40 @@ def leading_exponent_bound(n: int, tail: CompositionLike) -> int:
         raise ValueError(f"need 2 <= depth = {r} < n = {n}")
     if not tail.all_positive:
         raise ValueError("tail must be all-positive")
-    return _leading_exponent(n, tail)[0]
+    return _leading_exponent(n, tail.indices)[0]
 
 
-def _leading_exponent(n: int, tail: tuple[int, ...] | Composition) -> tuple[int, int]:
+def _leading_exponent(n: int, tail: tuple[int, ...], s1: int | None = None) -> tuple[int, int]:
     """(N, p): `leading_exponent_bound` of a checked tail and the Bertrand
     prime it was read at, which rule 5 writes, from one prime search.
     The sum is sum over k of c[k] / (2k+1)**s_1, and c[k], the sum over
     k < k_2 < ... < k_r <= n-1 of the tail factors, is the strict odd sum
     of the reversed tail over n-1, ..., k+1: one chain folded from k = n-1
-    down yields c[k] for k = n-r down to 0, one pair at a time."""
+    down yields c[k] for k = n-r down to 0, one pair at a time.
+
+    The pair of c[k] has the denominator of the whole fold, of valuation
+    e in closed form, less its factors at positions <= k.  As p > n-r+1,
+    3p > 2(n-r)+1, so among those p divides the base 2k+1 only at k =
+    (p-1)/2, once: c[k]'s denominator has valuation e - key when k >=
+    (p-1)/2 and e below, key = max(tail).  Given s1, the first exponent
+    the cascade compares N with, the chain is folded modulo p**(e+s1): a
+    nonzero residue gives c[k]'s valuation exactly, and a zero one says
+    only that it is >= s1, and is read as s1.  No valuation is then read
+    above the true one, and every one below s1 is read exactly.  So the
+    decision s1 > N and, where it holds, N itself are the exact fold's:
+    if N < s1, the reference valuation v is exact, and so is the minimum
+    unless it is >= s1 > 0, where N = v either way; if N >= s1, v is read
+    as s1 or exactly, and the minimum no higher, so N is still >= s1.
+    Without s1 the fold is exact, and a zero coefficient raises."""
     p = primes.bertrand_prime(n - len(tail))
-    vals, tail = [], Composition(tuple(tail)[::-1])
-    for num, den in _chain(STRICT_ODD, tail, range(n - 1, 0, -1), tail.depth - 1):
-        if num == 0:
+    vals, tail, key = [], Composition(tail[::-1]), max(tail)
+    e, ref = _den_valuation(STRICT_ODD, n, tail, p), n - len(tail) - (p + 1) // 2
+    chain = _chain(STRICT_ODD, tail, range(n - 1, 0, -1), tail.depth - 1, s1 and p ** (e + s1))
+    for i, (num, _) in enumerate(chain):  # c[k] at i = n-r-k, (p-1)/2 at i = ref
+        if not (num or s1):
             raise RuntimeError("unexpected zero coefficient")
-        vals.append(int_valuation(num, p) - int_valuation(den, p))
-    v_ref = vals.pop(n - tail.depth - 1 - (p - 1) // 2)  # k runs from n-r down
+        vals.append(int_valuation(num, p) - e + key * (i <= ref) if num else s1)
+    v_ref = vals.pop(ref)
     return max(v_ref, v_ref - min(vals)), p
 
 
@@ -327,7 +351,7 @@ class _Point:
         A value known only modulo p**a at the Bertrand prime p serves rule
         1 alone, so it may be given only where rule 1 decides: star sums
         and depth 1."""
-        n, r = self.n, comp.depth
+        n, r, s1 = self.n, comp.depth, comp.indices[0]
         if n == 1:
             return TRIVIAL_INTEGER, n, comp, 0, None, None, None, False
         if self.star or r == 1:
@@ -355,14 +379,14 @@ class _Point:
             return WINDOW_VALUATION, n, comp, 3, window, v, None, False
         elif tabulated and (magnitude := _magnitude_bound(comp.indices)) is not None:
             fields = MAGNITUDE_BOUND, n, comp, 4, None, None, magnitude[0], best_effort
-        elif r < n and comp.indices[0] > (s1 := _leading_exponent(n, comp.indices[1:]))[0]:
-            fields = LARGE_S1_BOUND, n, comp, 5, s1[1], None, Fraction(s1[0]), best_effort
+        elif r < n and s1 > (lead := _leading_exponent(n, comp.indices[1:], s1))[0]:
+            fields = LARGE_S1_BOUND, n, comp, 5, lead[1], None, Fraction(lead[0]), best_effort
         else:
             fields = DIRECT_NON_INTEGER, n, comp, 6, None, None, None, best_effort
 
         # Rule 6 is this check; for rules 2, 4 and 5 it is a cross-check.
         if fields[0] == DIRECT_NON_INTEGER or n * r <= _VALUE_CHECK_LIMIT:
-            num, den = next(_chain(self.spec, comp, range(n), n - 1)) if value is None else value
+            num, den = value or next(_chain(self.spec, comp, range(n), n - 1, content=True))
             if num % den == 0:
                 raise RuntimeError(f"integer value {num // den} at n={n}, comp={comp} "
                                    f"contradicts {fields[0]} certificate")
@@ -404,7 +428,9 @@ def verify_odd_noninteger(n: int, comp: CompositionLike) -> Certificate:
     recomputed and its denominator checked, whichever bound rule fired.
     Certificates from rules 4-6 outside the tabulated regime (n past the
     window threshold, or depth > 17) are flagged best_effort.  Rules 1
-    and 3 fold the sum modulo p**e at their prime p, without the value.
+    and 3 fold the sum modulo p**e at their prime p, without the value,
+    and rule 5 folds its reversed tail modulo p**(e+s1); the value check
+    folds exactly, with the content step.
     """
     return _verify(STRICT_ODD, n, comp)
 

@@ -16,9 +16,8 @@ from itertools import groupby
 from . import hyper, primes
 from .certificates import (
     _Point,
+    _verify,
     decimal_bound_checks,
-    verify_odd_noninteger,
-    verify_star_noninteger,
 )
 from .sums import (
     STAR_ODD,
@@ -72,8 +71,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    verifier = verify_star_noninteger if _odd_spec(args).star else verify_odd_noninteger
-    cert = verifier(args.n, Composition.parse(args.comp))
+    cert = _verify(_odd_spec(args), args.n, Composition.parse(args.comp))
     if args.format == "plain":
         print(f"{cert.kind} n={cert.n} comp={cert.composition} "
               f"prime={cert.prime} valuation={cert.valuation} bound={cert.bound}")

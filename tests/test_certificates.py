@@ -246,9 +246,16 @@ def test_leading_exponent_bound_example():
 
 def test_leading_exponent_bound_at_large_n():
     # rule 5 holds one tail pair at a time, so n = 4000 stays well under
-    # 1 MB, though all n pairs together come to about 26 MB
-    assert [leading_exponent_bound(n, tail) for n, tail in
-            ((500, (1,)), (1000, (1, 1)), (2000, (2, 1)), (4000, (1,)))] == [1, 1, 2, 1]
+    # 1 MB, though all n pairs together come to about 26 MB; read modulo
+    # p**(e+s1), it gives the exact (N, p) for s1 = N+1 and N >= s1 for
+    # s1 = N, as the cascade needs
+    cases = ((500, (1,)), (1000, (1, 1)), (2000, (2, 1)), (4000, (1,)))
+    bounds = [1, 1, 2, 1]
+    assert [leading_exponent_bound(n, tail) for n, tail in cases] == bounds
+    for (n, tail), bound in zip(cases, bounds):
+        p = bertrand_prime(n - len(tail))
+        assert _leading_exponent(n, tail, bound + 1) == (bound, p), (n, tail)
+        assert _leading_exponent(n, tail, bound)[0] >= bound, (n, tail)
     tracemalloc.start()
     try:
         assert _leading_exponent(4000, (1,)) == (1, bertrand_prime(3999))
@@ -268,9 +275,10 @@ def test_leading_exponent_bound_range_checks():
 
 
 def test_leading_exponent_bound_matches_reduced_valuations():
-    # the bound takes v_p on unreduced (numerator, denominator) pairs; a
-    # reference on the reduced brute-force coefficients must agree; its
-    # prime, the largest in (n-r+1, 2n-2r+2), comes from trial division
+    # the bound reads v_p off each unreduced numerator, less the closed-form
+    # valuation of its denominator; a reference on the reduced brute-force
+    # coefficients must agree; its prime, the largest in (n-r+1,
+    # 2n-2r+2), comes from trial division
     for n in range(3, 15):
         for tail in compositions(4):
             r = len(tail) + 1
@@ -282,6 +290,87 @@ def test_leading_exponent_bound_matches_reduced_valuations():
                     for k1 in range(n - r + 1)]
             v_ref = vals.pop((p - 1) // 2)
             assert leading_exponent_bound(n, tail) == max(v_ref, v_ref - min(vals)), (n, tail)
+
+
+# The (n, tail, s1) at n <= 48, tails of weight <= 7 and depth <= 6 and s1
+# <= 3 whose rule-5 fold modulo p**(e+s1) meets a zero residue.
+_ZERO_RESIDUE_TRIPLES = [
+    (4, (2, 3), 1), (4, (1, 5), 1), (5, (1, 6), 1), (5, (1, 6), 2), (5, (1, 6), 3),
+    (5, (1, 5, 1), 1), (6, (1, 1, 4), 1), (7, (1, 1, 1, 1), 1), (7, (1, 2, 1, 2), 1),
+    (7, (1, 1, 3, 2), 1), (8, (2, 3, 2), 1), (8, (2, 2, 2, 1), 1), (9, (1, 1, 1, 1, 1), 1),
+    (9, (1, 1, 2, 1, 1), 1), (9, (1, 1, 2, 3), 1), (9, (1, 2, 1, 2, 1), 1),
+    (10, (1, 1, 1, 3, 1), 1), (10, (1, 1, 2, 2, 1), 1), (10, (1, 1, 1, 2, 1, 1), 1),
+    (10, (1, 1, 1, 2, 1, 1), 2), (11, (1, 1, 1, 1), 1), (14, (1, 1, 1, 4), 1),
+    (21, (1, 1, 1, 1), 1), (48, (1, 1, 1), 1)]
+
+
+def _rule_5_position(n, tail):
+    """The index of c[(p-1)/2] among the pairs rule 5's fold yields."""
+    return n - len(tail) - (bertrand_prime(n - len(tail)) + 1) // 2
+
+
+def test_rule_5_residues_decide_as_the_exact_fold(monkeypatch):
+    # the cascade folds rule 5's tail modulo p**(e+s1), and a zero residue
+    # says only that the valuation is >= s1; the decision s1 > N, and N
+    # where it holds, still equal the exact fold's, and every zero the grid
+    # meets is away from the reference position
+    zeros = []
+
+    def spy(spec, comp, indices, skip, modulus=None, content=False):
+        for i, pair in enumerate(_chain(spec, comp, indices, skip, modulus, content)):
+            if modulus and not pair[0]:
+                zeros.append(i)
+            yield pair
+
+    monkeypatch.setattr("oddharmonic.certificates._chain", spy)
+    met, fired = [], 0
+    for n in range(3, 49):
+        for tail in compositions(7, 6):
+            if len(tail) + 1 >= n:
+                continue
+            exact = _leading_exponent(n, tail)
+            assert exact[0] == leading_exponent_bound(n, tail)
+            for s1 in (1, 2, 3):
+                zeros.clear()
+                read = _leading_exponent(n, tail, s1)
+                assert (s1 > read[0]) == (s1 > exact[0]), (n, tail, s1)
+                if s1 > exact[0]:
+                    assert read == exact, (n, tail, s1)
+                    fired += 1
+                if zeros:
+                    assert _rule_5_position(n, tail) not in zeros, (n, tail, s1)
+                    met.append((n, tail, s1))
+    assert met == _ZERO_RESIDUE_TRIPLES
+    assert fired == 2740
+
+
+def test_rule_5_abstains_on_a_zero_reference_residue(monkeypatch):
+    # a zero residue at the reference position says only v >= s1, so the
+    # bound N is read >= s1 and rule 5 must abstain: zeroed there, n = 17,
+    # (2, 1, 1) falls from LargeS1Bound through to rule 6's value check
+    n, tail, s1 = 17, (1, 1), 2
+    assert _leading_exponent(n, tail, s1) == (1, 29)
+    assert verify_odd_noninteger(n, (s1, *tail)).kind == LARGE_S1_BOUND
+
+    def spy(spec, comp, indices, skip, modulus=None, content=False):
+        for i, (num, den) in enumerate(_chain(spec, comp, indices, skip, modulus, content)):
+            if modulus == 29 ** 3 and i == _rule_5_position(n, tail):
+                num = 0
+            yield num, den
+
+    monkeypatch.setattr("oddharmonic.certificates._chain", spy)
+    assert _leading_exponent(n, tail, s1)[0] >= s1
+    assert verify_odd_noninteger(n, (s1, *tail)).kind == DIRECT_NON_INTEGER
+
+
+def test_rows_past_rule_3_at_large_n():
+    # the (1, 1) rows up to n = 24820 whose window prime certifies nothing;
+    # rule 5 reads each modulo p**2 and abstains, and rule 6 decides
+    for n in (568, 1633, 24820):
+        assert verify_odd_noninteger(n, (1, 1)).json_line() == (
+            f'{{"kind": "DirectNonInteger", "n": {n}, "composition": "1,1", '
+            '"prime": null, "valuation": null, "bound": null, "rule_index": 6, '
+            '"best_effort": true}')
 
 
 def test_large_first_exponent_forces_noninteger():
@@ -390,31 +479,33 @@ def test_verify_takes_no_value():
 
 def test_each_certificate_kind_folds_its_own_chains(monkeypatch):
     # every fold of one sum the cascade makes, as (spec, chain, indices,
-    # skip, modulus): rules 1 and 3 fold modulo p**e, rule 5 folds the
-    # reversed tail from k = n-1 down, the value check folds exactly.  At
-    # n = 26 the window prime 23 certifies nothing, so the chain is folded
-    # twice, once modulo 23 and once exactly.
+    # skip, modulus, content): rules 1 and 3 fold modulo p**e, rule 5
+    # folds the reversed tail from k = n-1 down modulo p**(e+s1) at the
+    # Bertrand prime p of n-r+1, and the value check folds exactly with
+    # the content step.  At n = 26 the window prime 23 certifies nothing,
+    # so the chain is folded twice, once modulo 23 and once exactly.
     calls = []
 
-    def spy(spec, comp, indices, skip, modulus=None):
-        calls.append((spec, comp.indices, indices, skip, modulus))
-        return _chain(spec, comp, indices, skip, modulus)
+    def spy(spec, comp, indices, skip, modulus=None, content=False):
+        calls.append((spec, comp.indices, indices, skip, modulus, content))
+        return _chain(spec, comp, indices, skip, modulus, content)
 
     monkeypatch.setattr("oddharmonic.certificates._chain", spy)
     cases = [
         (verify_odd_noninteger, 26, (1, 1), DIRECT_NON_INTEGER,
-         [(STRICT_ODD, (1, 1), range(26), 25, 23), (STRICT_ODD, (1,), range(25, 0, -1), 0, None),
-          (STRICT_ODD, (1, 1), range(26), 25, None)]),
+         [(STRICT_ODD, (1, 1), range(26), 25, 23, False),
+          (STRICT_ODD, (1,), range(25, 0, -1), 0, 47 ** 2, False),
+          (STRICT_ODD, (1, 1), range(26), 25, None, True)]),
         (verify_star_noninteger, 12, (1, 1), STAR_VALUATION,
-         [(STAR_ODD, (1, 1), range(12), 11, 23 ** 2)]),
+         [(STAR_ODD, (1, 1), range(12), 11, 23 ** 2, False)]),
         (verify_odd_noninteger, 12, (1, 1), WINDOW_VALUATION,
-         [(STRICT_ODD, (1, 1), range(12), 11, 11)]),
+         [(STRICT_ODD, (1, 1), range(12), 11, 11, False)]),
         (verify_odd_noninteger, 17, (2, 1, 1), LARGE_S1_BOUND,
-         [(STRICT_ODD, (2, 1, 1), range(17), 16, 11 ** 4),
-          (STRICT_ODD, (1, 1), range(16, 0, -1), 1, None),
-          (STRICT_ODD, (2, 1, 1), range(17), 16, None)]),
+         [(STRICT_ODD, (2, 1, 1), range(17), 16, 11 ** 4, False),
+          (STRICT_ODD, (1, 1), range(16, 0, -1), 1, 29 ** 3, False),
+          (STRICT_ODD, (2, 1, 1), range(17), 16, None, True)]),
         (verify_odd_noninteger, 5, (1, 2), MAGNITUDE_BOUND,
-         [(STRICT_ODD, (1, 2), range(5), 4, None)]),
+         [(STRICT_ODD, (1, 2), range(5), 4, None, True)]),
     ]
     for verifier, n, comp, kind, folds in cases:
         calls.clear()
