@@ -40,13 +40,14 @@ a < e is read again from the chain folded modulo p**e, so a failed law
 reports its exact valuation.  Rule 5 reads its tail coefficients the
 same way, in `_leading_exponent`, modulo p**(e+s1) for the first exponent
 s1 it compares with; a zero residue there stands for a valuation >= s1,
-which decides the same.  The primes come from the prime searches, so no
-reading tests primality again.  Where the value is cheap, rules 2, 4
-and 5 check that it is not an integer too, and rule 6 is that check; a
-`verify_*` value check folds with the content step, as num % den reads
-the same once both lose their common factor.  Every fold of one sum
-here, modulo p**e, modulo p**(e+s1) for rule 5's reversed tail, or
-exact, is `_chain`.
+which decides the same; `leading_exponent_bound` is the first of these
+reads, at s1 = 1, 2, ..., that falls below its s1.  The primes come from
+the prime searches, so no reading tests primality again.  Where the
+value is cheap, rules 2, 4 and 5 check that it is not an integer too,
+and rule 6 is that check; a `verify_*` value check folds with the
+content step, as num % den reads the same once both lose their common
+factor.  Every fold of one sum here, modulo p**e, modulo p**(e+s1) for
+rule 5's reversed tail, or exact, is `_chain`.
 
 A caution on rule 3: at depth >= 2 a window prime p divides only
 ceil(r/2) of the odd numbers below 2n (even multiples of p are never odd
@@ -67,6 +68,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 
 from . import primes
 from .exact import Record, int_valuation
@@ -172,8 +174,9 @@ def leading_exponent_bound(n: int, tail: CompositionLike) -> int:
     position >= (p-1)/2, so the p-part of the term at p is isolated once
     the first exponent clears the coefficient valuations.  N = max(v, v -
     min over other coefficients) where v is the valuation of the
-    coefficient at position (p-1)/2.  Each valuation is read off the
-    exact fold: its numerator's, minus its denominator's in closed form.
+    coefficient at position (p-1)/2.  N is rule 5's read of the tail at
+    the smallest s1 >= 1 it falls below, which is exact; see
+    `_leading_exponent`.
     """
     tail = Composition.coerce(tail)
     r = tail.depth + 1
@@ -181,38 +184,39 @@ def leading_exponent_bound(n: int, tail: CompositionLike) -> int:
         raise ValueError(f"need 2 <= depth = {r} < n = {n}")
     if not tail.all_positive:
         raise ValueError("tail must be all-positive")
-    return _leading_exponent(n, tail.indices)[0]
+    reads = ((_leading_exponent(n, tail.indices, s1)[0], s1) for s1 in count(1))
+    return next(lead for lead, s1 in reads if lead < s1)
 
 
-def _leading_exponent(n: int, tail: tuple[int, ...], s1: int | None = None) -> tuple[int, int]:
-    """(N, p): `leading_exponent_bound` of a checked tail and the Bertrand
-    prime it was read at, which rule 5 writes, from one prime search.
-    The sum is sum over k of c[k] / (2k+1)**s_1, and c[k], the sum over
-    k < k_2 < ... < k_r <= n-1 of the tail factors, is the strict odd sum
-    of the reversed tail over n-1, ..., k+1: one chain folded from k = n-1
-    down yields c[k] for k = n-r down to 0, one pair at a time.
+def _leading_exponent(n: int, tail: tuple[int, ...], s1: int) -> tuple[int, int]:
+    """(N, p) of a checked tail, as read for the first exponent s1 >= 1,
+    and the Bertrand prime p it was read at, which rule 5 writes, from one
+    prime search.  The sum is sum over k of c[k] / (2k+1)**s_1, and c[k],
+    the sum over k < k_2 < ... < k_r <= n-1 of the tail factors, is the
+    strict odd sum of the reversed tail over n-1, ..., k+1: one chain
+    folded from k = n-1 down yields c[k] for k = n-r down to 0, one pair
+    at a time.
 
     The pair of c[k] has the denominator of the whole fold, of valuation
     e in closed form, less its factors at positions <= k.  As p > n-r+1,
     3p > 2(n-r)+1, so among those p divides the base 2k+1 only at k =
     (p-1)/2, once: c[k]'s denominator has valuation e - key when k >=
-    (p-1)/2 and e below, key = max(tail).  Given s1, the first exponent
-    the cascade compares N with, the chain is folded modulo p**(e+s1): a
-    nonzero residue gives c[k]'s valuation exactly, and a zero one says
-    only that it is >= s1, and is read as s1.  No valuation is then read
-    above the true one, and every one below s1 is read exactly.  So the
-    decision s1 > N and, where it holds, N itself are the exact fold's:
-    if N < s1, the reference valuation v is exact, and so is the minimum
-    unless it is >= s1 > 0, where N = v either way; if N >= s1, v is read
-    as s1 or exactly, and the minimum no higher, so N is still >= s1.
-    Without s1 the fold is exact, and a zero coefficient raises."""
+    (p-1)/2 and e below, key = max(tail).  The chain is folded modulo
+    p**(e+s1): a nonzero residue gives c[k]'s valuation exactly, and a
+    zero one says only that it is >= s1, and is read as s1.  No valuation
+    is then read above the true one, and every one below s1 is read
+    exactly.  So the decision s1 > N and, where it holds, N itself are
+    exact: if N < s1, the reference valuation v is exact, and so is the
+    minimum unless it is >= s1 > 0, where N = v either way; if N >= s1, v
+    is read as s1 or exactly, and the minimum no higher, so N is still >=
+    s1.  So `leading_exponent_bound` reads at s1 = 1, 2, ... and stops at
+    the first read below s1, which is the true N; it stops by s1 = max(1,
+    N+1), as every s1 > N gives the read N < s1."""
     p = primes.bertrand_prime(n - len(tail))
     vals, tail, key = [], Composition(tail[::-1]), max(tail)
     e, ref = _den_valuation(STRICT_ODD, n, tail, p), n - len(tail) - (p + 1) // 2
-    chain = _chain(STRICT_ODD, tail, range(n - 1, 0, -1), tail.depth - 1, s1 and p ** (e + s1))
+    chain = _chain(STRICT_ODD, tail, range(n - 1, 0, -1), tail.depth - 1, p ** (e + s1))
     for i, (num, _) in enumerate(chain):  # c[k] at i = n-r-k, (p-1)/2 at i = ref
-        if not (num or s1):
-            raise RuntimeError("unexpected zero coefficient")
         vals.append(int_valuation(num, p) - e + key * (i <= ref) if num else s1)
     v_ref = vals.pop(ref)
     return max(v_ref, v_ref - min(vals)), p

@@ -249,8 +249,9 @@ def test_leading_exponent_bound_at_large_n():
     # 1 MB, though all n pairs together come to about 26 MB; read modulo
     # p**(e+s1), it gives the exact (N, p) for s1 = N+1 and N >= s1 for
     # s1 = N, as the cascade needs
-    cases = ((500, (1,)), (1000, (1, 1)), (2000, (2, 1)), (4000, (1,)))
-    bounds = [1, 1, 2, 1]
+    cases = ((500, (1,)), (1000, (1, 1)), (2000, (2, 1)), (4000, (1,)),
+             (20000, (1,)), (20000, (1, 1, 1)))
+    bounds = [1, 1, 2, 1, 1, 1]
     assert [leading_exponent_bound(n, tail) for n, tail in cases] == bounds
     for (n, tail), bound in zip(cases, bounds):
         p = bertrand_prime(n - len(tail))
@@ -258,7 +259,7 @@ def test_leading_exponent_bound_at_large_n():
         assert _leading_exponent(n, tail, bound)[0] >= bound, (n, tail)
     tracemalloc.start()
     try:
-        assert _leading_exponent(4000, (1,)) == (1, bertrand_prime(3999))
+        assert leading_exponent_bound(4000, (1,)) == 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -312,8 +313,9 @@ def _rule_5_position(n, tail):
 def test_rule_5_residues_decide_as_the_exact_fold(monkeypatch):
     # the cascade folds rule 5's tail modulo p**(e+s1), and a zero residue
     # says only that the valuation is >= s1; the decision s1 > N, and N
-    # where it holds, still equal the exact fold's, and every zero the grid
-    # meets is away from the reference position
+    # where it holds, still equal the exact (N, p), read off the reduced
+    # coefficients with no closed form, and every zero the grid meets is
+    # away from the reference position
     zeros = []
 
     def spy(spec, comp, indices, skip, modulus=None, content=False):
@@ -328,7 +330,10 @@ def test_rule_5_residues_decide_as_the_exact_fold(monkeypatch):
         for tail in compositions(7, 6):
             if len(tail) + 1 >= n:
                 continue
-            exact = _leading_exponent(n, tail)
+            p = bertrand_prime(n - len(tail))
+            vals = [valuation(c, p) for c in _tail_coefficients(n, tail)]
+            v_ref = vals.pop((p - 1) // 2)
+            exact = max(v_ref, v_ref - min(vals)), p
             assert exact[0] == leading_exponent_bound(n, tail)
             for s1 in (1, 2, 3):
                 zeros.clear()
@@ -342,6 +347,26 @@ def test_rule_5_residues_decide_as_the_exact_fold(monkeypatch):
                     met.append((n, tail, s1))
     assert met == _ZERO_RESIDUE_TRIPLES
     assert fired == 2740
+
+
+def test_leading_exponent_bound_folds_only_modulo_a_power(monkeypatch):
+    # the bound reads the tail modulo p**(e+s1) for s1 = 1, 2, ... until
+    # the read N falls below s1, which first happens at max(1, N+1); no
+    # fold is exact
+    moduli = []
+
+    def spy(spec, comp, indices, skip, modulus=None, content=False):
+        moduli.append(modulus)
+        return _chain(spec, comp, indices, skip, modulus, content)
+
+    monkeypatch.setattr("oddharmonic.certificates._chain", spy)
+    for n, tail, bound in ((3, (1,), 1), (2000, (2, 1), 2), (5, (1, 5, 1), -2),
+                           (8, (1,) * 6, -1), (4, (2, 3), 0), (24, (7,), 8)):
+        moduli.clear()
+        assert leading_exponent_bound(n, tail) == bound, (n, tail)
+        p = bertrand_prime(n - len(tail))
+        e = _den_valuation(STRICT_ODD, n, Composition(tail[::-1]), p)
+        assert moduli == [p ** (e + s1) for s1 in range(1, max(1, bound + 1) + 1)], (n, tail)
 
 
 def test_rule_5_abstains_on_a_zero_reference_residue(monkeypatch):
@@ -424,10 +449,14 @@ def test_rule_5_looks_up_its_prime_once(monkeypatch):
     assert calls == [17, 15]
 
 
-def test_cascade_depth_rules():
+def test_cascade_depth_rules(monkeypatch):
     cert = verify_odd_noninteger(8, (1,) * 8)       # 8 >= e(log(15)/2+1) ~ 6.4
     assert cert.kind == DEPTH_BOUND
     assert cert.bound < 1
+    # the threshold still holds, but a ones-power bound >= 1 bounds
+    # nothing, so rule 2 abstains and rule 4 certifies
+    monkeypatch.setattr("oddharmonic.certificates.ones_power_bound", lambda n, r: F(1))
+    assert verify_odd_noninteger(8, (1,) * 8).kind == MAGNITUDE_BOUND
 
 
 def _certify(spec, n, comp, pair):

@@ -541,6 +541,19 @@ def test_star_rule_one_fault_is_reported_exactly(capsys, monkeypatch):
                               "at n=12, comp=1 is not negative, expected -1\n")
 
 
+def test_verify_reports_a_failed_check_with_exit_1(capsys, monkeypatch):
+    # a fold whose numerator carries one more 17, the Bertrand prime of 9,
+    # breaks rule 1's law; main prints no certificate and says why
+    def spy(spec, comp, indices, skip, modulus=None, content=False):
+        for num, den in _chain(spec, comp, indices, skip, modulus, content):
+            yield num * 17, den
+
+    monkeypatch.setattr("oddharmonic.certificates._chain", spy)
+    assert run(capsys, "verify", "--n", "9", "--comp", "2", "--star") == (
+        1, "", "check failed: valuation law failed: v_17 of star sum at n=9, comp=2 is -1, "
+               "expected -2\n")
+
+
 def test_main_builds_one_parser(capsys):
     # two calls share one parser; parsing leaves it as a fresh one is, so
     # usage, help and error output stay the same

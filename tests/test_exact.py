@@ -45,6 +45,9 @@ def test_floats_are_refused():
         pochhammer(0.5, 3)
     with pytest.raises(ValueError):
         as_rational(2.0)
+    for value in ("x", None):  # neither a float nor a rational
+        with pytest.raises(ValueError, match="not a rational"):
+            as_rational(value)
     assert valuation(as_rational("1/10"), 5) == -1
     assert as_rational(3) == 3 and as_rational(F(2, 7)) == F(2, 7)
     assert pochhammer("1/2", 2) == F(3, 4)

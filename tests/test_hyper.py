@@ -207,6 +207,8 @@ def test_closed_form():
     assert odd_harmonic_closed_form(3) == F(23, 15)
     for n in range(1, 21):
         assert odd_harmonic_closed_form(n) == harmonic_sum(STRICT_ODD, n, (1,))
+    with pytest.raises(ValueError, match="need n >= 1"):
+        odd_harmonic_closed_form(0)
 
 
 def test_standard_depth1_via_hyper():
@@ -384,6 +386,8 @@ def test_binomial_sums_refuse_floats():
         binomial_transform([F(1, 2), 2.0])
     with pytest.raises(ValueError):
         binomial_transform([])
+    with pytest.raises(ValueError, match="nonempty"):
+        binomial_inversion([])
     assert alternating_binomial_sum(2, lambda k: "1/3") == F(1, 3)
 
 

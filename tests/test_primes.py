@@ -31,6 +31,8 @@ def test_sieve_agrees_with_trial_division():
     sieve = Sieve(2000)
     for m in range(2001):
         assert sieve.is_prime(m) == _trial_division(m), m
+    with pytest.raises(ValueError, match="exceeds sieve limit 100"):
+        Sieve(100).is_prime(101)
 
 
 def test_is_prime_beyond_sieve():
@@ -96,6 +98,8 @@ def test_bertrand_prime():
     assert bertrand_prime(2) == 3
     assert bertrand_prime(3) == 5
     assert bertrand_prime(12) == 23
+    with pytest.raises(ValueError, match="need n >= 2"):
+        bertrand_prime(1)
     for n in range(2, 400):  # the largest prime in (n, 2n), not merely one
         assert bertrand_prime(n) == max(p for p in range(n + 1, 2 * n) if _trial_division(p))
 
@@ -134,6 +138,9 @@ def test_window_prime_examples():
     assert window_prime(2, 1) == 3
     assert window_prime(11, 2) is None
     assert window_prime(10, 2) == 7
+    for r in (0, 6):  # outside 1 <= r <= n
+        with pytest.raises(ValueError, match="need 1 <= r <= n"):
+            window_prime(5, r)
 
 
 def test_window_prime_conditions_hold():

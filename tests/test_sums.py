@@ -55,6 +55,8 @@ def test_composition_validation():
         Composition((1, 0, 2))
     with pytest.raises(ValueError):
         Composition.parse("1,,2")
+    with pytest.raises(ValueError, match="must be integers"):
+        Composition((1.5,))
 
 
 @settings(max_examples=200, deadline=None)
@@ -80,6 +82,8 @@ def test_composition_facts_are_computed_once_and_stay_private(entries):
 def test_spec_validation():
     with pytest.raises(ValueError):
         SumSpec("loose", "odd")
+    with pytest.raises(ValueError, match="parity must be standard or odd"):
+        SumSpec("strict", "even")
     with pytest.raises(ValueError):
         harmonic_sum(STRICT_ODD, 2, (1, 1, 1))     # depth > n
     with pytest.raises(ValueError):
