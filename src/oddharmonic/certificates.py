@@ -30,24 +30,28 @@ window threshold; rule 5 reads one tail pair at a time.
 Every valuation here is read one way: off the numerator x of a fold's
 unreduced pair, whose denominator has a valuation e known in closed
 form, with x known modulo p**a; no denominator's valuation is taken.
-`_Point.valuation` reads the sum's, for rules 1 and 3.  Given no value,
-as from `verify_*`, it folds the chain modulo p**e itself, so a = e.  A
-strict `sweep` row hands over the exact unreduced pair, on which the
-final check num % den == 0 needs no gcd either.  A star `sweep` row is
-decided by rule 1 alone, which needs only num % p, so it hands over a
-residue modulo a product of Bertrand primes, a = 1.  A zero residue with
-a < e is read again from the chain folded modulo p**e, so a failed law
-reports its exact valuation.  Rule 5 reads its tail coefficients the
-same way, in `_leading_exponent`, modulo p**(e+s1) for the first exponent
-s1 it compares with; a zero residue there stands for a valuation >= s1,
-which decides the same; `leading_exponent_bound` is the first of these
-reads, at s1 = 1, 2, ..., that falls below its s1.  The primes come from
-the prime searches, so no reading tests primality again.  Where the
-value is cheap, rules 2, 4 and 5 check that it is not an integer too,
-and rule 6 is that check; a `verify_*` value check folds with the
-content step, as num % den reads the same once both lose their common
-factor.  Every fold of one sum here, modulo p**e, modulo p**(e+s1) for
-rule 5's reversed tail, or exact, is `_chain`.
+`_Point.valuation` reads the sum's, for rules 1 and 3, and each rule
+states its precision in `_Point.certify`: rule 1 reads x modulo its
+Bertrand prime p (a = 1), which decides whether v = -weight, and rule 3
+reads it modulo p**e at its window prime.  Given no value, as from
+`verify_*`, the chain is folded modulo that power.  A strict `sweep` row
+hands over the exact unreduced pair, on which the final check num % den
+== 0 needs no gcd either.  A star `sweep` row is decided by rule 1
+alone, so it hands over a residue modulo a product of Bertrand primes.
+Given values must be exact, except where rule 1 alone decides.  A zero
+read modulo p below p**e is read again from the sum's own chain folded
+modulo p**e, so a failed law reports its exact valuation, whatever value
+was given.  Rule 5 reads its tail coefficients the same way, in
+`_leading_exponent`, modulo p**(e+s1) for the first exponent s1 it
+compares with; a zero residue there stands for a valuation >= s1, which
+decides the same; `leading_exponent_bound` is the first of these reads,
+at s1 = 1, 2, ..., that falls below its s1.  The primes come from the
+prime searches, so no reading tests primality again.  Where the value is
+cheap, rules 2, 4 and 5 check that it is not an integer too, and rule 6
+is that check; a `verify_*` value check folds with the content step, as
+num % den reads the same once both lose their common factor.  Every fold
+of one sum here, modulo p or p**e, modulo p**(e+s1) for rule 5's
+reversed tail, or exact, is `_chain`.
 
 A caution on rule 3: at depth >= 2 a window prime p divides only
 ceil(r/2) of the odd numbers below 2n (even multiples of p are never odd
@@ -307,28 +311,24 @@ class _Point:
     def valuation(self, comp: Composition, p: int, value: Pair | None,
                   a: int | None = None) -> int | None:
         """v_p of the sum if it is negative, else None, read off x, the
-        numerator of the fold's pair, known modulo p**a (a None: exactly).
-        The fold's denominator has valuation exactly e, in closed form, so
-        a nonzero x modulo p**min(a, e) gives v = v_p(that) - e, and a zero
-        one says v >= 0 when a >= e.  Without a value, the chain is folded
-        modulo p**e here, which gives x with a = e; a zero x known only
-        modulo p**a, a < e, is read again that way.  Exact at every prime
-        and every n.  p must be prime; the cascade's primes come from the
-        prime searches, so p is not tested again."""
+        numerator of the fold's pair, modulo q = p**min(a, e) (a None: e):
+        from the given value, or from the chain folded here modulo q.  The
+        fold's denominator has valuation exactly e, in closed form, so a
+        nonzero x gives v = v_p(x) - e, and a zero one at q = p**e says v
+        >= 0.  A zero at q < p**e is read again from the chain folded
+        modulo p**e, so a failed law reports its exact valuation.  Exact at
+        every prime and every n.  p must be prime; the cascade's primes
+        come from the prime searches, so p is not tested again."""
         at = p, comp.weight if self.star else max(comp.magnitudes())
         powers = self._powers.get(at)
         if powers is None:
             e = _den_valuation(self.spec, self.n, comp, p)
             powers = self._powers[at] = e, p ** e
         e, pe = powers
-        if value is None:
-            x = next(_chain(self.spec, comp, range(self.n), self.n - 1, pe))[0]
-        elif a is None or a >= e:
-            x = value[0] % pe
-        elif not (x := value[0] % p ** a):
-            return self.valuation(comp, p, None)
+        q = pe if a is None or a >= e else p ** a
+        x = (value or next(_chain(self.spec, comp, range(self.n), self.n - 1, q)))[0] % q
         if not x:
-            return None
+            return None if q == pe else self.valuation(comp, p, None)
         return (int_valuation(x, p) if x % p == 0 else 0) - e
 
     def _depth(self, r: int) -> tuple[Fraction | None, int | None, bool, bool]:
@@ -347,14 +347,15 @@ class _Point:
             facts = self._depths[r] = bound, window, n <= threshold, n >= threshold
         return facts
 
-    def certify(self, comp: Composition, value: Pair | None = None,
-                a: int | None = None) -> Fields:
+    def certify(self, comp: Composition, value: Pair | None = None) -> Fields:
         """The fields of comp's certificate: the first rule of the cascade
         that applies.  A value, the fold's own pair (num, den) of the sum,
         replaces every evaluation of it; RuntimeError if a check fails.
-        A value known only modulo p**a at the Bertrand prime p serves rule
-        1 alone, so it may be given only where rule 1 decides: star sums
-        and depth 1."""
+        Each rule states the precision it reads: rule 1 reads num modulo
+        its Bertrand prime p, and rule 3 modulo p**e at its window prime.
+        So the value must be exact, except where rule 1 alone decides
+        (star sums and depth 1): there num modulo p serves, and a zero
+        there is checked against the sum's own fold."""
         n, r, s1 = self.n, comp.depth, comp.indices[0]
         if n == 1:
             return TRIVIAL_INTEGER, n, comp, 0, None, None, None, False
@@ -365,7 +366,7 @@ class _Point:
             # minimal valuation, so the sum has valuation exactly -weight.
             # The valuation is computed, not assumed.
             p = self.bertrand
-            v = self.valuation(comp, p, value, a)
+            v = self.valuation(comp, p, value, 1)
             if v != -comp.weight:
                 raise RuntimeError(
                     f"valuation law failed: v_{p} of {self.spec.ordering} sum at n={n}, "
@@ -379,7 +380,7 @@ class _Point:
             fields = DEPTH_BOUND, n, comp, 2, None, None, bound, False
         # A window prime that certifies nothing is rare in principle only;
         # a later rule then certifies.
-        elif window is not None and (v := self.valuation(comp, window, value, a)) is not None:
+        elif window is not None and (v := self.valuation(comp, window, value)) is not None:
             return WINDOW_VALUATION, n, comp, 3, window, v, None, False
         elif tabulated and (magnitude := _magnitude_bound(comp.indices)) is not None:
             fields = MAGNITUDE_BOUND, n, comp, 4, None, None, magnitude[0], best_effort
@@ -396,11 +397,11 @@ class _Point:
                                    f"contradicts {fields[0]} certificate")
         return fields
 
-    def line(self, comp: Composition, value: Pair | None = None, a: int | None = None) -> str:
+    def line(self, comp: Composition, value: Pair | None = None) -> str:
         """The JSON line of comp's certificate; a rule-4 line takes its
         bound's text from `_magnitude_bound`, made once per reference."""
         kind, n, comp, rule_index, prime, valuation, bound, best_effort = self.certify(
-            comp, value, a)
+            comp, value)
         if kind == MAGNITUDE_BOUND:
             bound = _magnitude_bound(comp.indices)[1]
         return _json_line(kind, n, comp, rule_index, prime, valuation, bound, best_effort)
@@ -431,10 +432,11 @@ def verify_odd_noninteger(n: int, comp: CompositionLike) -> Certificate:
     wins.  When n * depth <= `_VALUE_CHECK_LIMIT` the exact value is also
     recomputed and its denominator checked, whichever bound rule fired.
     Certificates from rules 4-6 outside the tabulated regime (n past the
-    window threshold, or depth > 17) are flagged best_effort.  Rules 1
-    and 3 fold the sum modulo p**e at their prime p, without the value,
-    and rule 5 folds its reversed tail modulo p**(e+s1); the value check
-    folds exactly, with the content step.
+    window threshold, or depth > 17) are flagged best_effort.  Rule 1
+    folds the sum modulo its Bertrand prime p, and modulo p**e only if
+    that reads 0; rule 3 folds it modulo p**e at its window prime p, and
+    rule 5 folds its reversed tail modulo p**(e+s1); the value check folds
+    exactly, with the content step.
     """
     return _verify(STRICT_ODD, n, comp)
 

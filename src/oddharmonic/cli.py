@@ -1,12 +1,14 @@
 """Command-line front end: eval, verify, sweep, table, bounds, identity-check.
 
-Exit codes: 0 on success, 1 when a check fails, 2 on usage errors.
+Exit codes: 0 on success, 1 when a check fails, 2 on usage errors, and
+141 (128 + SIGPIPE) when stdout is closed before the output ends.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import random
 import sys
 from fractions import Fraction
@@ -192,13 +194,14 @@ def _cmd_sweep(args) -> int:
     # rule 1 alone, from num modulo its Bertrand prime p, so the star tries
     # fold modulo M, the product of the points' own primes (one per run, as
     # bertrand_prime is nondecreasing in n): each node then holds a residue
-    # below M, giving num modulo p (a = 1) at every n.  Strict rows may
-    # need num modulo higher powers, or the value, so they fold exactly.
+    # below M, giving num modulo p at every n, which is all rule 1 reads.
+    # Strict rows may need num modulo higher powers, or the value, so they
+    # fold exactly.
     tries, rows = _sweep_grid(spec, n_lo, args.weight_max, min(depth_max, args.n_max))
-    modulus = a = None
+    modulus = None
     if spec.star:
         bertrand = map(primes.bertrand_prime, range(max(n_lo, 2), args.n_max + 1))
-        modulus, a = math.prod(p for p, _ in groupby(bertrand)), 1
+        modulus = math.prod(p for p, _ in groupby(bertrand))
     folds = [_fold(spec, trie, range(args.n_max), n_lo - 1, modulus) for trie in tries]
     write, failures = sys.stdout.write, 0
     for point in (_Point(spec, n) for n in range(n_lo, args.n_max + 1)):
@@ -209,7 +212,7 @@ def _cmd_sweep(args) -> int:
                 continue
             v, den = states[trie]
             try:
-                text = line(comp, (v[node], den), a)
+                text = line(comp, (v[node], den))
             except RuntimeError as exc:
                 print(f"FAIL n={n} comp={comp}: {exc}", file=sys.stderr)
                 failures += 1
@@ -451,6 +454,11 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader has gone: point stdout at devnull, so that flushing it
+        # at exit raises nothing more, and end as SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     finally:
         sys.set_int_max_str_digits(saved_limit)
 

@@ -398,6 +398,42 @@ def test_rows_past_rule_3_at_large_n():
             '"best_effort": true}')
 
 
+def test_rule_3_depth_2_law():
+    # the depth-2 window prime p of n has 2n <= 3p and p < n, so of the odd
+    # j < 2n it divides p alone.  For (1, 1) the terms holding it are 1/p
+    # times the sum of 1/j over the other odd j < 2n; modulo p the j in (p,
+    # 2p) cancel against 2p - j, and the j in (2p, 2n) read as j - 2p, so v_p
+    # is -1 unless p divides the numerator of O_{n-p}, O_m = sum 1/(2j+1)
+    # over j < m.  For (1, 2), p**2 carries the sum of 1/j over the odd j <
+    # p, which is the Fermat quotient (2**(p-1) - 1)/p modulo p, so v_p is
+    # -2 unless p is a Wieferich prime, where it is -1
+    odd = [F(0)]
+    for j in range(35):
+        odd.append(odd[-1] + F(1, 2 * j + 1))
+    reads = {}
+    for comp in ((1, 1), (1, 2)):
+        for n, pair in enumerate(harmonic_sum_pairs(STRICT_ODD, comp, 3, 5000), start=3):
+            p = window_prime(n, 2)
+            if p is not None:
+                reads[comp, n] = p, _Point(STRICT_ODD, n).valuation(Composition(comp), p, pair)
+    assert len(reads) == 2 * 4994
+    lost = []
+    for (comp, n), (p, v) in reads.items():
+        if comp == (1, 1):
+            assert v == (None if odd[n - p].numerator % p == 0 else -1), n
+            lost += [n] * (v is None)
+        else:
+            assert v == (-1 if pow(2, p - 1, p * p) == 1 else -2), n
+    assert lost == [26, 568, 1633]
+    assert [n for (comp, n), (_, v) in reads.items() if v == -1 and comp == (1, 2)] == [
+        1094, 1095, 1096, 1097, 3512, 3513, 3514, 3515, 3516, 3517]
+    # past the grid, read with no value from the fold modulo p**e: O_11 at
+    # p = 24809 and O_7 = 88069/45045 at p = 88069
+    for n, p in ((24820, 24809), (88076, 88069)):
+        assert window_prime(n, 2) == p and odd[n - p].numerator % p == 0
+        assert _Point(STRICT_ODD, n).valuation(Composition((1, 1)), p, None) is None
+
+
 def test_large_first_exponent_forces_noninteger():
     # exact non-integrality for first exponents just above the bound
     for n in range(3, 21):
@@ -467,18 +503,28 @@ def _fold_pair(spec, n, comp):
     return next(harmonic_sum_pairs(spec, comp, n, n))
 
 
-def test_given_value_is_what_each_rule_checks():
-    # rule 1 reads its valuation off the fold's pair
+def test_given_value_is_what_each_rule_checks(monkeypatch):
+    # rule 1 reads the fold's numerator modulo its Bertrand prime 17 alone:
+    # a unit multiple of it reads the same with no fold, and a value that
+    # is 0 modulo 17 is read again from the sum's own chain modulo 17**2,
+    # which decides as verify_* does
+    pairs = {spec: _fold_pair(spec, 9, (2,)) for spec in (STAR_ODD, STRICT_ODD)}
+    folds = []
+
+    def spy(spec, comp, indices, skip, modulus=None, content=False):
+        folds.append((spec, comp.indices, indices, skip, modulus, content))
+        return _chain(spec, comp, indices, skip, modulus, content)
+
+    monkeypatch.setattr("oddharmonic.certificates._chain", spy)
     for verifier, spec in ((verify_star_noninteger, STAR_ODD),
                            (verify_odd_noninteger, STRICT_ODD)):
-        num, den = _fold_pair(spec, 9, (2,))
-        cert = _certify(spec, 9, (2,), (num, den))
-        assert cert == verifier(9, (2,))
-        with pytest.raises(RuntimeError, match="valuation law"):
-            _certify(spec, 9, (2,), (num * cert.prime, den))
-        # v_p of this value is 0: no negative valuation was found at all
-        with pytest.raises(RuntimeError, match="is not negative, expected -2"):
-            _certify(spec, 9, (2,), (num * cert.prime ** 2, den))
+        num, den = pairs[spec]
+        cert = verifier(9, (2,))
+        assert (cert.kind, cert.prime, cert.valuation) == (STAR_VALUATION, 17, -2)
+        for factor, refolds in ((1, False), (18, False), (17, True), (17 ** 2, True)):
+            folds.clear()
+            assert _certify(spec, 9, (2,), (num * factor, den)) == cert, factor
+            assert folds == [(spec, (2,), range(9), 8, 17 ** 2, False)] * refolds, factor
     # so does rule 3; at (2, 3) the numerator carries one 11 (e = 3), so
     # dividing it out moves the valuation from -2 to -3; at (1, 1), e = 1
     # and one more 11 in the numerator leaves nothing negative to read
@@ -508,11 +554,12 @@ def test_verify_takes_no_value():
 
 def test_each_certificate_kind_folds_its_own_chains(monkeypatch):
     # every fold of one sum the cascade makes, as (spec, chain, indices,
-    # skip, modulus, content): rules 1 and 3 fold modulo p**e, rule 5
-    # folds the reversed tail from k = n-1 down modulo p**(e+s1) at the
-    # Bertrand prime p of n-r+1, and the value check folds exactly with
-    # the content step.  At n = 26 the window prime 23 certifies nothing,
-    # so the chain is folded twice, once modulo 23 and once exactly.
+    # skip, modulus, content): rule 1 folds modulo its Bertrand prime p,
+    # rule 3 modulo p**e at its window prime p, rule 5 folds the reversed
+    # tail from k = n-1 down modulo p**(e+s1) at the Bertrand prime p of
+    # n-r+1, and the value check folds exactly with the content step.  At
+    # n = 26 the window prime 23 certifies nothing, so the chain is folded
+    # twice, once modulo 23 and once exactly.
     calls = []
 
     def spy(spec, comp, indices, skip, modulus=None, content=False):
@@ -526,7 +573,9 @@ def test_each_certificate_kind_folds_its_own_chains(monkeypatch):
           (STRICT_ODD, (1,), range(25, 0, -1), 0, 47 ** 2, False),
           (STRICT_ODD, (1, 1), range(26), 25, None, True)]),
         (verify_star_noninteger, 12, (1, 1), STAR_VALUATION,
-         [(STAR_ODD, (1, 1), range(12), 11, 23 ** 2, False)]),
+         [(STAR_ODD, (1, 1), range(12), 11, 23, False)]),
+        (verify_odd_noninteger, 9, (2,), STAR_VALUATION,
+         [(STRICT_ODD, (2,), range(9), 8, 17, False)]),
         (verify_odd_noninteger, 12, (1, 1), WINDOW_VALUATION,
          [(STRICT_ODD, (1, 1), range(12), 11, 11, False)]),
         (verify_odd_noninteger, 17, (2, 1, 1), LARGE_S1_BOUND,

@@ -6,9 +6,11 @@ import hashlib
 import json
 import math
 import os
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -552,6 +554,21 @@ def test_verify_reports_a_failed_check_with_exit_1(capsys, monkeypatch):
     assert run(capsys, "verify", "--n", "9", "--comp", "2", "--star") == (
         1, "", "check failed: valuation law failed: v_17 of star sum at n=9, comp=2 is -1, "
                "expected -2\n")
+
+
+def test_closed_stdout_ends_quietly_with_141():
+    # a reader that stops after one line, as `| head -n 1` does, closes the
+    # pipe while sweep still writes (about 1 MB, more than a pipe holds):
+    # no traceback, and 128 + SIGPIPE rather than a failed check's 1
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["sweep", "--n-max", "40", "--weight-max", "8", "--strict"]
+    with subprocess.Popen([sys.executable, "-m", "oddharmonic.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": str(src)}) as proc:
+        assert proc.stdout.readline().startswith(b'{"kind": "StarValuation", "n": 2, ')
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
 
 
 def test_main_builds_one_parser(capsys):
